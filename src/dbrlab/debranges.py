@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hardy
-from .dirichlet import GramMatrix
+from .dirichlet import GramMatrix, _toeplitz_gram
 
 # tolerance for the exact coefficient feasibility / innerness classification
 CLASS_TOL = 1e-12
@@ -218,17 +218,15 @@ def hb_inner(f, g, pair):
 def hb_gram(pair, n):
     """Monomial Gram matrix G[i][j] = <z^i, z^j> in H(b), size n.
 
-    One triangular solve per column; the cached f+ vectors give the whole
-    correction as an outer product.
+    f -> f+ commutes with the backward shift, so (z^k)+ is (z^(n-1))+ minus its
+    first n-1-k coefficients: one f+ solve gives the whole Toeplitz f+ matrix; O(n^2).
     """
     n = int(n)
     if n < 1:
         raise ValueError("Gram size must be >= 1")
-    P = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        fp = fplus(hardy.monomial(k), pair)
-        P[k, : len(fp)] = fp
-    return GramMatrix(space_tag="hb", entries=np.eye(n) + P @ P.conj().T)
+    q = fplus(hardy.monomial(n - 1), pair)
+    u = np.pad(q[::-1], (n - len(q), 0))
+    return GramMatrix(space_tag="hb", entries=_toeplitz_gram(u[np.newaxis]))
 
 
 def hb_cauchy_norm(pair, w):

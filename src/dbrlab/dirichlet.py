@@ -118,26 +118,43 @@ def dmu_inner(f, g, mu):
     return val
 
 
-def _quotient_gram(zeta, n):
-    """Gram of difference quotients of monomials z^0 .. z^(n-1) at one atom.
+def _drop_tiny(A):
+    """Set the entries of A below eps * max|A| to 0, in place; returns A.
 
-    Row k holds the coefficients of (z^k - zeta^k)/(z - zeta).
+    That is within roundoff, and keeps graded tails out of the subnormal
+    range, where LAPACK slows down several-fold.
     """
-    V = np.zeros((n, max(n - 1, 1)), dtype=complex)
-    for k in range(1, n):
-        V[k, :k] = np.asarray(zeta, dtype=complex) ** np.arange(k - 1, -1, -1)
-    return V @ V.conj().T
+    A[np.abs(A) < np.finfo(float).eps * np.abs(A).max(initial=0)] = 0
+    return A
+
+
+def _toeplitz_gram(U):
+    """I + sum_r T_r T_r^H, T_r lower-triangular Toeplitz of first column U[r].
+
+    O(n^2 k) by C[i][j] = C[i-1][j-1] + sum_r U[r][i] conj(U[r][j]), with U's
+    tiny entries dropped (in place) so the Gram and its defect stay out of subnormals.
+    """
+    _drop_tiny(U)
+    C = U.T @ U.conj()
+    np.fill_diagonal(C, (U.real**2 + U.imag**2).sum(axis=0))  # exactly real
+    for i in range(1, len(C)):
+        C[i, 1:] += C[i - 1, :-1]
+    C[np.diag_indices_from(C)] += 1
+    return C
 
 
 def dmu_gram(mu, n):
-    """Monomial Gram matrix G[i][j] = <z^i, z^j> in D(mu), size n."""
+    """Monomial Gram matrix G[i][j] = <z^i, z^j> in D(mu), size n, in O(n^2 * atoms).
+
+    Each atom adds T T^H, T Toeplitz of first column sqrt(w) (0, 1, zeta, zeta^2, ...).
+    """
     n = int(n)
     if n < 1:
         raise ValueError("Gram size must be >= 1")
-    G = np.eye(n, dtype=complex)
-    for z, w in mu.atoms:
-        G += w * _quotient_gram(z, n)
-    return GramMatrix(space_tag="dmu", entries=G)
+    U = np.zeros((len(mu), n), dtype=complex)
+    for r, (z, w) in enumerate(mu.atoms):
+        U[r, 1:] = np.sqrt(w) * np.asarray(z, dtype=complex) ** np.arange(n - 1)
+    return GramMatrix(space_tag="dmu", entries=_toeplitz_gram(U))
 
 
 def moment_matrix(mu, n):

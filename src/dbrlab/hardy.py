@@ -48,12 +48,6 @@ def h2_inner(f, g):
     return complex(np.vdot(g[:n], f[:n]))
 
 
-def h2_norm(f):
-    """H^2 norm of a polynomial."""
-    f = as_poly(f)
-    return float(np.linalg.norm(f))
-
-
 def poly_eval(f, z):
     """Evaluate sum_k f_k z^k by Horner's scheme."""
     acc = 0j

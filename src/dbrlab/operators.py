@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from . import debranges
-from .dirichlet import GramMatrix
+from .dirichlet import GramMatrix, _drop_tiny
 
 NSD_TOL = 1e-10
 RANK_TOL = 1e-8
@@ -181,12 +181,13 @@ def rank1_defect_check(G_b, pair, tol=1e-8, rank_tol=RANK_TOL):
     ref = float(
         np.real(debranges.hb_inner(sb, sb, pair)) / pair.rho**2
     )
-    Gsub = A[:-1, :-1]
-    theta = float(
-        scipy.linalg.eigh(
-            (D + D.conj().T) / 2, (Gsub + Gsub.conj().T) / 2, eigvals_only=True
-        )[-1]
-    )
+    # theta: top eigenvalue of M = L^-1 D L^-H, A[:-1, :-1] = L L^H. M's graded tails
+    # lie far below roundoff; dropping them moves theta by <= n * eps relative and
+    # keeps eigvalsh, which reads M's lower half, out of subnormals.
+    L = scipy.linalg.cholesky(A[:-1, :-1], lower=True)
+    M = scipy.linalg.solve_triangular(L, (D + D.conj().T) / 2, lower=True, overwrite_b=True)
+    M = scipy.linalg.solve_triangular(L, M.conj().T, lower=True, overwrite_b=True)
+    theta = float(np.linalg.eigvalsh(_drop_tiny(M))[-1])
     rel = abs(theta - ref) / abs(ref)
     return Certificate(
         kind="rank1-defect",
