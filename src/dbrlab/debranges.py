@@ -151,6 +151,11 @@ def pythagorean_mate(b):
     rho^2 is the larger root of t^2 - s t + p = 0 (this is what makes
     rho >= |sigma|) and the phase of sigma is fixed by
     sigma = (beta + conj(c) gamma)/rho with rho real positive.
+
+    For a 2-isometric shift the discriminant s^2 - 4p is exactly 0, and its
+    computed value is roundoff whose square root would put an O(sqrt(eps))
+    error into rho. s sums terms of total size 1 + |beta|^2 + |c|^2 + |gamma|^2,
+    so a discriminant within 8 eps s times that size is taken as 0.
     """
     flags = b.flags()
     if not flags.valid:
@@ -158,7 +163,11 @@ def pythagorean_mate(b):
     if flags.inner:
         raise SymbolError("inner symbol (extreme): no Pythagorean mate exists")
     s, p, root = _s_and_p(b.c, b.gamma, b.beta)
-    rho2 = (s + math.sqrt(max(s * s - 4 * p, 0.0))) / 2
+    size = 1 + abs(b.beta) ** 2 + abs(b.c) ** 2 + abs(b.gamma) ** 2
+    disc = s * s - 4 * p
+    if disc <= 8 * np.finfo(float).eps * s * size:
+        disc = 0.0
+    rho2 = (s + math.sqrt(disc)) / 2
     rho = math.sqrt(rho2)
     sigma = root / rho
     return PythagoreanPair(b=b, rho=rho, sigma=sigma)

@@ -118,23 +118,14 @@ def dmu_inner(f, g, mu):
     return val
 
 
-def _drop_tiny(A):
-    """Set the entries of A below eps * max|A| to 0, in place; returns A.
-
-    That is within roundoff, and keeps graded tails out of the subnormal
-    range, where LAPACK slows down several-fold.
-    """
-    A[np.abs(A) < np.finfo(float).eps * np.abs(A).max(initial=0)] = 0
-    return A
-
-
 def _toeplitz_gram(U):
     """I + sum_r T_r T_r^H, T_r lower-triangular Toeplitz of first column U[r].
 
     O(n^2 k) by C[i][j] = C[i-1][j-1] + sum_r U[r][i] conj(U[r][j]), with U's
     tiny entries dropped (in place) so the Gram and its defect stay out of subnormals.
     """
-    _drop_tiny(U)
+    # below eps * max|U| is roundoff; subnormal tails slow LAPACK down several-fold
+    U[np.abs(U) < np.finfo(float).eps * np.abs(U).max(initial=0)] = 0
     C = U.T @ U.conj()
     np.fill_diagonal(C, (U.real**2 + U.imag**2).sum(axis=0))  # exactly real
     for i in range(1, len(C)):

@@ -2,17 +2,16 @@
 
 The moment matrix M[n][m] = sum_i w_i z_i^n conj(z_i)^m has Vandermonde
 column space, so the atoms are recovered from the shift-invariance of that
-column space (ESPRIT-style) and the weights by nonnegative least squares
-against the rank-one Vandermonde outer products.
+column space (ESPRIT-style) and the weights by least squares against the
+rank-one Vandermonde outer products, then checked positive.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .dirichlet import PointMassMeasure, dmu_gram
-from .operators import Certificate, defect_matrix, numerical_rank
+from .operators import Certificate, _count_above, defect_matrix
 
 # atoms may stick out of the disk by at most this much before recovery fails;
 # smaller excursions are clamped radially to the circle
@@ -38,16 +37,24 @@ class RecoveryResult:
 
 
 def recover_atoms(M, k=None, rank_tol=1e-8):
-    """Invert the moment map: locations via shift invariance, weights via NNLS.
+    """Invert the moment map: locations via shift invariance, weights via least squares.
 
     k is the expected atom count; when omitted it is set to the numerical
     rank of M. Requires at least k+1 rows of moments.
+
+    The weights are the unconstrained least-squares fit, rejected unless every
+    one exceeds WEIGHT_FLOOR. That is the nonnegative least-squares answer:
+    when the unconstrained optimum is positive it is the constrained one, and
+    otherwise the constrained optimum has a zero weight, which is rejected too.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise RecoveryError("moment matrix must be square")
     N = M.shape[0]
-    rank = numerical_rank(M, rank_tol)
+    # the rank comes from the same eigendecomposition as the column space:
+    # for a Hermitian matrix the |eigenvalues| are the singular values
+    w_eig, U = np.linalg.eigh((M + M.conj().T) / 2)
+    rank = _count_above(np.abs(w_eig), rank_tol)
     if k is None:
         k = rank
     k = int(k)
@@ -62,7 +69,6 @@ def recover_atoms(M, k=None, rank_tol=1e-8):
     if N < k + 1:
         raise RecoveryError(f"need at least {k + 1} moment rows for {k} atoms")
 
-    w_eig, U = np.linalg.eigh((M + M.conj().T) / 2)
     U = U[:, np.argsort(w_eig)[::-1][:k]]
 
     # column space is Vandermonde: U shifted down one row = U times Phi
@@ -83,7 +89,7 @@ def recover_atoms(M, k=None, rank_tol=1e-8):
     )
     A = np.vstack([basis.real, basis.imag])
     rhs = np.concatenate([M.ravel().real, M.ravel().imag])
-    weights, _ = scipy.optimize.nnls(A, rhs)
+    weights, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     if np.any(weights <= WEIGHT_FLOOR):
         raise RecoveryError("recovered a nonpositive atom weight")
 

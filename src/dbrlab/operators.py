@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import debranges
-from .dirichlet import GramMatrix, _drop_tiny
+from .dirichlet import GramMatrix
 
 NSD_TOL = 1e-10
 RANK_TOL = 1e-8
@@ -113,17 +112,21 @@ def defect_matrix(G):
     return A[1:, 1:] - A[:-1, :-1]
 
 
-def numerical_rank(M, tau=RANK_TOL):
-    """Number of singular values above tau * sigma_1; 0 for the zero matrix."""
+def _count_above(s, tau):
+    """Number of singular values s above tau * max(s); 0 for an empty or zero s."""
     if not 0 < tau < 1:
         raise ValueError("relative threshold must lie in (0, 1)")
+    top = s.max(initial=0.0)
+    if top <= 1e-300:
+        return 0
+    return int(np.count_nonzero(s > tau * top))
+
+
+def numerical_rank(M, tau=RANK_TOL):
+    """Number of singular values above tau * sigma_1; 0 for the zero matrix."""
     M = np.asarray(M, dtype=complex)
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[0] <= 1e-300:
-        return 0
-    return int(np.count_nonzero(s > tau * s[0]))
+    s = np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0)
+    return _count_above(s, tau)
 
 
 def ratio_identity_check(G_b, pair, n_max, tol=1e-8):
@@ -161,8 +164,10 @@ def rank1_defect_check(G_b, pair, tol=1e-8, rank_tol=RANK_TOL):
 
     The defect entries are coefficients against non-orthonormal monomials,
     so the operator eigenvalue is the top generalized eigenvalue of the
-    pencil (defect, Gram). It is compared with the independent closed-path
-    value rho^-2 ||S*b||_b^2 computed from the truncated shifted symbol.
+    pencil (defect, Gram). A rank-1 defect D = d d^H has exactly one nonzero
+    pencil eigenvalue, d^H G^-1 d, computed with one linear solve. It is
+    compared with the independent closed-path value rho^-2 ||S*b||_b^2
+    computed from the truncated shifted symbol.
     """
     A = _entries(G_b)
     D = defect_matrix(A)
@@ -181,13 +186,12 @@ def rank1_defect_check(G_b, pair, tol=1e-8, rank_tol=RANK_TOL):
     ref = float(
         np.real(debranges.hb_inner(sb, sb, pair)) / pair.rho**2
     )
-    # theta: top eigenvalue of M = L^-1 D L^-H, A[:-1, :-1] = L L^H. M's graded tails
-    # lie far below roundoff; dropping them moves theta by <= n * eps relative and
-    # keeps eigvalsh, which reads M's lower half, out of subnormals.
-    L = scipy.linalg.cholesky(A[:-1, :-1], lower=True)
-    M = scipy.linalg.solve_triangular(L, (D + D.conj().T) / 2, lower=True, overwrite_b=True)
-    M = scipy.linalg.solve_triangular(L, M.conj().T, lower=True, overwrite_b=True)
-    theta = float(np.linalg.eigvalsh(_drop_tiny(M))[-1])
+    # theta = d^H G^-1 d for D = d d^H, G = A[:-1, :-1]: the column of D through its
+    # largest diagonal entry, scaled by that entry's square root, is d up to a phase.
+    # Only meaningful when rank == 1, which the verdict requires.
+    j = int(np.argmax(D.diagonal().real))
+    d = D[:, j] / np.sqrt(D[j, j].real)
+    theta = float(np.vdot(d, np.linalg.solve(A[:-1, :-1], d)).real)
     rel = abs(theta - ref) / abs(ref)
     return Certificate(
         kind="rank1-defect",

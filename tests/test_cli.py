@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dbrlab
 from dbrlab.cli import main, parse_complex
 from dbrlab.debranges import MoebiusSymbol
 from dbrlab.dirichlet import PointMassMeasure, moment_matrix
@@ -19,6 +24,16 @@ def write_symbol(tmp_path, b, name="b.json"):
     path = tmp_path / name
     path.write_text(b.dumps())
     return str(path)
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy would add ~0.5 s to every CLI call
+    env = dict(os.environ, PYTHONPATH=str(Path(dbrlab.__file__).parents[1]))
+    code = "import sys, dbrlab.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestParseComplex:

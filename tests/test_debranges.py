@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -86,6 +87,25 @@ class TestPythagoreanMate:
             assert pair.rho**2 * abs(pair.sigma) ** 2 == pytest.approx(p, abs=1e-12)
             assert pair.unit_circle_deviation() <= 1e-12
             assert pair.mate_eval(0) == pytest.approx(pair.rho)
+
+    @pytest.mark.parametrize(
+        "b",
+        [
+            MoebiusSymbol(0, 0.5, 0.25),
+            MoebiusSymbol(0.3 + 0.1j, 0.4 - 0.2j, 0.2 + 0.3j),
+            MoebiusSymbol(0.2, 0.1j, 0.05),
+            # synthesized for alpha = 1.5, lambda = 0.99 e^i: near a 2-isometry
+            MoebiusSymbol(0, 0.7514953713185798, 0.13425860100279768 - 0.20909538230311753j),
+        ],
+    )
+    def test_rho_matches_mpmath(self, b):
+        # off the 2-isometries s^2 - 4p is far above roundoff, and must not be snapped to 0
+        with mpmath.workdps(50):
+            c, g, be = (mpmath.mpc(x) for x in (b.c, b.gamma, b.beta))
+            s = 1 + abs(be) ** 2 - abs(c) ** 2 - abs(g) ** 2
+            p = abs(be + mpmath.conj(c) * g) ** 2
+            rho = mpmath.sqrt((s + mpmath.sqrt(s * s - 4 * p)) / 2)
+            assert pythagorean_mate(b).rho == pytest.approx(float(rho), rel=1e-13)
 
 
 class TestFplus:

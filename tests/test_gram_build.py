@@ -106,26 +106,29 @@ def test_graded_tails_stay_normal(build):
 
 
 def test_rank1_pencil_stays_normal(monkeypatch):
-    # the reduced pencil L^-1 D L^-H is graded far below roundoff for small
-    # |beta|; the eigensolve must see none of those tails, and the eigenvalue
+    # the defect column d is graded far below roundoff for small |beta|; the
+    # solve for G^-1 d must see none of those tails in G or d, and d^H G^-1 d
     # must still match the dense generalized eigensolve
     seen = []
-    eigvalsh = np.linalg.eigvalsh
+    solve = np.linalg.solve
 
-    def recording_eigvalsh(M):
-        seen.append(M)
-        return eigvalsh(M)
+    def recording_solve(a, b):
+        seen.append((a, b))
+        return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
     pair = pythagorean_mate(MoebiusSymbol(0.2, 0.1j, 0.05))
     G = hb_gram(pair, 512).entries
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
     cert = rank1_defect_check(G, pair)
+    monkeypatch.undo()
     D, Gsub = defect_matrix(G), G[:-1, :-1]
     want = scipy.linalg.eigh(D, Gsub, eigvals_only=True)[-1]
     assert cert.passed
     assert cert.context["eigenvalue"] == pytest.approx(want, rel=1e-12)
-    (M,) = seen
-    assert np.abs(M[M != 0]).min() >= np.sqrt(np.finfo(float).tiny)
+    assert seen
+    for a, b in seen:
+        for x in (a, b):
+            assert np.abs(x[x != 0]).min() >= np.sqrt(np.finfo(float).tiny)
 
 
 # ---- 50-digit oracle ------------------------------------------------------

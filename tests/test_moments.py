@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dbrlab.dirichlet import PointMassMeasure, moment_matrix
 from dbrlab.moments import (
@@ -103,3 +106,61 @@ class TestMatchAtoms:
     def test_count_mismatch_is_inf(self):
         a = PointMassMeasure(atoms=((0.5, 1.0),))
         assert match_atoms(a, PointMassMeasure.empty()) == float("inf")
+
+
+# ---- weight fit: least squares + positivity check against an NNLS oracle ----
+
+
+def recovered_weights(M):
+    """The recovered weights, or the RecoveryError message."""
+    try:
+        return np.array([w for _, w in recover_atoms(M).measure.atoms])
+    except RecoveryError as e:
+        return str(e)
+
+
+def recovered_weights_nnls(M):
+    """Same, with scipy's NNLS as the weight fit (the only real, 1-D lstsq call)."""
+    lstsq = np.linalg.lstsq
+
+    def fit(a, b, rcond=None):
+        if b.ndim == 1:
+            return scipy.optimize.nnls(a, b)[0], None, None, None
+        return lstsq(a, b, rcond=rcond)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "lstsq", fit)
+        return recovered_weights(M)
+
+
+atom = st.tuples(
+    st.one_of(st.just(1.0), st.floats(0, 1)),  # radius, boundary allowed
+    st.floats(0, 2 * np.pi),
+    st.floats(0.1, 5),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    atoms=st.lists(atom, min_size=1, max_size=4),
+    negate=st.one_of(st.none(), st.integers(0, 3)),
+    noise=st.one_of(st.none(), st.floats(-14, -3)),
+    extra_rows=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_weight_fit_matches_nnls(atoms, negate, noise, extra_rows, seed):
+    atoms = [(r * np.exp(1j * t), w) for r, t, w in atoms]
+    assume(all(abs(a - b) >= 0.1 for i, (a, _) in enumerate(atoms) for b, _ in atoms[:i]))
+    if negate is not None:
+        i = negate % len(atoms)
+        atoms[i] = (atoms[i][0], -atoms[i][1])
+    n = len(atoms) + 1 + extra_rows
+    M = sum(w * moment_matrix(PointMassMeasure.single(z, 1.0), n) for z, w in atoms)
+    if noise is not None:
+        rng = np.random.default_rng(seed)
+        M = M + 10**noise * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    got, want = recovered_weights(M), recovered_weights_nnls(M)
+    assert isinstance(got, str) == isinstance(want, str)
+    if not isinstance(want, str):
+        # weights are in the units of M's entries: M[0][0] is the total mass
+        assert np.abs(got - want).max() <= 1e-8 * np.abs(M).max()

@@ -79,6 +79,13 @@ class TestVerifyNormEquality:
         cert = verify_norm_equality(0, 0.3, 8)
         assert cert.passed and cert.witness <= 1e-14
 
+    @pytest.mark.parametrize("alpha", [0.5, 1, 1.5, 2])
+    def test_boundary_lambda_large_n(self, alpha):
+        # on the circle s^2 - 4p is pure roundoff; taking its square root puts
+        # ~1e-8 into rho and a Gram deviation of ~1e-2 at N = 512
+        for k in range(12):
+            assert verify_norm_equality(alpha, np.exp(1j * np.pi * k / 6), 512).passed
+
 
 class TestCorollaryParams:
     def test_inverse_of_circle_synthesis(self):
