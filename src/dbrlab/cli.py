@@ -41,8 +41,6 @@ from .operators import (
     Certificate,
     certify_nsd,
     defect_matrix,
-    gram_from_csv_text,
-    gram_to_csv_text,
     hyperexpansive_form,
     numerical_rank,
 )
@@ -89,6 +87,33 @@ def _load_symbol(path):
 
 def _tol(args, key):
     return args.tol_overrides.get(key, DEFAULT_TOLS[key])
+
+
+def gram_to_csv_text(M):
+    """Row-major CSV dump with 're,im' cell pairs."""
+    A = np.asarray(M, dtype=complex)
+    lines = []
+    for row in A:
+        cells = []
+        for z in row:
+            cells.append(repr(float(z.real)))
+            cells.append(repr(float(z.imag)))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def gram_from_csv_text(text):
+    """Parse the 're,im' pair CSV back into a complex matrix."""
+    rows = []
+    for line in text.strip().splitlines():
+        vals = [float(v) for v in line.split(",")]
+        if len(vals) % 2 != 0:
+            raise ValueError("expected an even number of columns (re,im pairs)")
+        rows.append([complex(vals[2 * i], vals[2 * i + 1]) for i in range(len(vals) // 2)])
+    M = np.asarray(rows, dtype=complex)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("expected a square matrix")
+    return M
 
 
 def cmd_mate(args):
@@ -146,10 +171,10 @@ def cmd_verify_equality(args):
         )
         pair = synthesized_pair(alpha, lam)
         prefix.with_suffix(".dmu.csv").write_text(
-            gram_to_csv_text(dmu_gram(mu, args.size))
+            gram_to_csv_text(dmu_gram(mu, args.size).entries)
         )
         prefix.with_suffix(".hb.csv").write_text(
-            gram_to_csv_text(hb_gram(pair, args.size))
+            gram_to_csv_text(hb_gram(pair, args.size).entries)
         )
         _dump(cert.to_json_dict(), prefix.with_suffix(".json"))
     else:

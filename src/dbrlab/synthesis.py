@@ -67,7 +67,12 @@ def synthesized_pair(alpha, lam):
 
 
 def verify_norm_equality(alpha, lam, n, tol=1e-9):
-    """Entrywise comparison of the D(mu) and H(b) monomial Gram matrices."""
+    """Entrywise comparison of the D(mu) and H(b) monomial Gram matrices.
+
+    tol is relative: the largest entry deviation is compared with
+    tol * max(1, max|G_dmu|), because the Gram entries, and with them the
+    roundoff of both routes, grow like |alpha|^2 * N.
+    """
     n = int(n)
     if n < 2:
         raise ValueError("need Gram size >= 2")
@@ -78,7 +83,11 @@ def verify_norm_equality(alpha, lam, n, tol=1e-9):
     else:
         mu = PointMassMeasure.single(lam, abs(alpha) ** 2)
     pair = synthesized_pair(alpha, lam)
-    dev = float(np.abs(dmu_gram(mu, n).entries - hb_gram(pair, n).entries).max())
+    G = dmu_gram(mu, n).entries
+    # a Gram matrix's largest entry is on its diagonal: |G_ij|^2 <= G_ii G_jj
+    tol = tol * max(1.0, float(G.diagonal().real.max()))
+    G -= hb_gram(pair, n).entries
+    dev = float(np.abs(G).max())
     return Certificate(
         kind="norm-equality",
         passed=dev <= tol,

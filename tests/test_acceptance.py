@@ -126,7 +126,7 @@ def test_criterion_5_complete_hyperexpansivity():
     report(
         5,
         worst <= 1e-10 and elapsed < 2.0,
-        f"max eigenvalue over B1..B6 = {worst:.2e}, {elapsed * 1e3:.0f}ms",
+        f"max NSD witness over B1..B6 = {worst:.2e}, {elapsed * 1e3:.0f}ms",
     )
 
 

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 import dbrlab
-from dbrlab.cli import main, parse_complex
+from dbrlab.cli import gram_from_csv_text, gram_to_csv_text, main, parse_complex
 from dbrlab.debranges import MoebiusSymbol
 from dbrlab.dirichlet import PointMassMeasure, moment_matrix
-from dbrlab.operators import gram_from_csv_text, gram_to_csv_text
 
 
 def write_measure(tmp_path, mu, name="mu.json"):
@@ -187,3 +186,14 @@ class TestKernelNorms:
              "--lambda", "0.5", "--points", "2"]
         )
         assert code == 1
+
+
+class TestGramCsv:
+    def test_roundtrip(self):
+        rng = np.random.default_rng(33)
+        M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        assert np.array_equal(gram_from_csv_text(gram_to_csv_text(M)), M)
+
+    def test_rejects_nonsquare(self):
+        with pytest.raises(ValueError):
+            gram_from_csv_text("1.0,0.0,2.0,0.0\n")

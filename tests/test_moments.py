@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dbrlab.dirichlet import PointMassMeasure, moment_matrix
 from dbrlab.moments import (
     RecoveryError,
+    _start_block,
     match_atoms,
     recover_atoms,
     roundtrip_check,
@@ -63,6 +64,41 @@ class TestRecoverAtoms:
         result = recover_atoms(M)
         rebuilt = moment_matrix(result.measure, 8)
         assert result.residual == pytest.approx(np.linalg.norm(M - rebuilt), abs=1e-12)
+
+    def test_signed_dominant_weight_rejected(self):
+        # a negated weight dominates |eigenvalue|; the recovery basis follows
+        # |eigenvalue|, so the fit finds that weight and rejects it. A basis of
+        # the top algebraic eigenvectors returned a positive measure here, with
+        # residual 0.999 ||M||.
+        mu_pos = moment_matrix(PointMassMeasure.single(0.5, 0.5), 3)
+        mu_neg = moment_matrix(PointMassMeasure.single(np.exp(2j), 4.0), 3)
+        with pytest.raises(RecoveryError, match="nonpositive"):
+            recover_atoms(mu_pos - mu_neg)
+
+    def test_deterministic(self):
+        rng = np.random.default_rng(41)
+        mu = separated_measure(rng, 3, boundary=True)
+        M = moment_matrix(mu, 12)
+        M = M + 1e-9 * (rng.standard_normal(M.shape) + 1j * rng.standard_normal(M.shape))
+        a, b = recover_atoms(M), recover_atoms(M)
+        assert np.array(a.measure.atoms).tobytes() == np.array(b.measure.atoms).tobytes()
+        assert (a.residual, a.condition) == (b.residual, b.condition)
+
+    def test_start_block_is_splitmix64(self):
+        def splitmix64(i):
+            # the reference generator in Python integers, state i * golden gamma
+            mask = 2**64 - 1
+            z = (i * 0x9E3779B97F4A7C15) & mask
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            return z ^ (z >> 31)
+
+        assert splitmix64(1) == 0xE220A8397B1DCDAF  # its published first output
+        B = _start_block(300, 4)
+        want = [np.exp(2j * np.pi * (splitmix64(i) >> 11) * 2.0**-53) for i in range(1, 1201)]
+        assert np.abs(B.ravel() - np.array(want)).max() <= 1e-15
+        # a start well spread over the column space: near-orthogonal columns
+        assert np.linalg.cond(B) < 1.5
 
     def test_well_separated_random(self):
         rng = np.random.default_rng(40)
@@ -164,3 +200,70 @@ def test_weight_fit_matches_nnls(atoms, negate, noise, extra_rows, seed):
     if not isinstance(want, str):
         # weights are in the units of M's entries: M[0][0] is the total mass
         assert np.abs(got - want).max() <= 1e-8 * np.abs(M).max()
+
+
+# ---- the eigenvector-free route against the dense routes it replaced ----
+
+
+def vandermonde(locs, n):
+    return np.asarray(locs)[np.newaxis, :] ** np.arange(n)[:, np.newaxis]
+
+
+def full_weight_fit(M, locs):
+    """Least squares on all 2 N^2 real entries of M - sum_i w_i v_i v_i^H."""
+    V = vandermonde(locs, M.shape[0])
+    basis = np.stack([np.outer(v, v.conj()).ravel() for v in V.T], axis=1)
+    A = np.vstack([basis.real, basis.imag])
+    rhs = np.concatenate([M.ravel().real, M.ravel().imag])
+    return np.linalg.lstsq(A, rhs, rcond=None)[0]
+
+
+def eigh_route(M, k):
+    """Locations from the top-k eigenvectors of eigh, weights by full_weight_fit."""
+    w, U = np.linalg.eigh((M + M.conj().T) / 2)
+    U = U[:, np.argsort(np.abs(w))[::-1][:k]]
+    Phi = np.linalg.lstsq(U[:-1], U[1:], rcond=None)[0]
+    locs = np.linalg.eigvals(Phi)
+    locs = np.where(np.abs(locs) > 1, locs / np.abs(locs), locs)
+    return PointMassMeasure(atoms=tuple(zip(locs, full_weight_fit(M, locs))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    atoms=st.lists(atom, min_size=1, max_size=4),
+    noise=st.one_of(st.none(), st.floats(-14, -6)),
+    extra_rows=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reduced_weight_fit_matches_full_lstsq(atoms, noise, extra_rows, seed):
+    atoms = [(r * np.exp(1j * t), w) for r, t, w in atoms]
+    assume(all(abs(a - b) >= 0.2 for i, (a, _) in enumerate(atoms) for b, _ in atoms[:i]))
+    n = len(atoms) + 1 + extra_rows
+    M = sum(w * moment_matrix(PointMassMeasure.single(z, 1.0), n) for z, w in atoms)
+    if noise is not None:
+        rng = np.random.default_rng(seed)
+        M = M + 10**noise * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    try:
+        result = recover_atoms(M, k=len(atoms))
+    except RecoveryError:
+        return
+    locs = [z for z, _ in result.measure.atoms]
+    got = np.array([w for _, w in result.measure.atoms])
+    assert np.abs(got - full_weight_fit(M, locs)).max() <= 1e-12 * np.abs(M).max()
+    rebuilt = moment_matrix(result.measure, n)
+    want = np.linalg.norm(M - rebuilt)
+    assert result.residual == pytest.approx(want, rel=1e-9, abs=1e-13 * np.linalg.norm(M))
+
+
+def test_matches_eigh_route():
+    rng = np.random.default_rng(42)
+    for k in range(1, 5):
+        for boundary in (False, True):
+            for extra in (1, 6, 40):
+                mu = separated_measure(rng, k, min_dist=0.3, boundary=boundary)
+                M = moment_matrix(mu, k + extra)
+                got = recover_atoms(M).measure
+                want = eigh_route(M, k)
+                assert match_atoms(want, got) <= 1e-10
+                assert match_atoms(mu, got) <= 1e-10
+

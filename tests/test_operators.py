@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dbrlab.debranges import MoebiusSymbol, pythagorean_mate
 from dbrlab.dirichlet import PointMassMeasure, dmu_gram, moment_matrix
 from dbrlab.operators import (
     certify_nsd,
     defect_matrix,
-    gram_from_csv_text,
-    gram_to_csv_text,
     hyperexpansive_form,
     numerical_rank,
     rank1_defect_check,
@@ -51,6 +51,20 @@ class TestCertifyNsd:
     def test_positive_fails(self):
         cert = certify_nsd(np.diag([0.1]), 1e-10)
         assert not cert.passed and cert.witness == pytest.approx(0.1)
+        assert cert.context["witness"] == "eigenvalue"
+
+    def test_pass_witness_is_top_diagonal(self):
+        # PASS reports max Re diag H, a lower bound on the top eigenvalue
+        B = np.array([[-1.0, 0.5j], [-0.5j, -2.0]])
+        cert = certify_nsd(B, 1e-10)
+        assert cert.passed and cert.witness == -1.0
+        assert cert.context["witness"] == "diagonal"
+        assert cert.witness <= np.linalg.eigvalsh(B)[-1]
+
+    def test_hermitian_part_decides(self):
+        # the skew part carries no quadratic form: H = diag(-1, -1) here
+        B = np.array([[-1.0, 5.0], [-5.0, -1.0]])
+        assert certify_nsd(B, 1e-10).passed
 
     def test_complete_hyperexpansivity_random_measures(self):
         rng = np.random.default_rng(30)
@@ -157,12 +171,41 @@ class TestRank1Defect:
         assert cert.passed and cert.witness <= 1e-8
 
 
-class TestGramCsv:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(33)
-        M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert np.array_equal(gram_from_csv_text(gram_to_csv_text(M)), M)
+# ---- NSD verdict: one Cholesky factorization against the top eigenvalue ----
 
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            gram_from_csv_text("1.0,0.0,2.0,0.0\n")
+atom = st.tuples(
+    st.one_of(st.just(1.0), st.floats(0, 1)),  # radius, boundary allowed
+    st.floats(0, 2 * np.pi),
+    st.floats(0.1, 3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    atoms=st.lists(atom, min_size=0, max_size=3),
+    N=st.integers(2, 40),
+    order=st.integers(1, 5),
+    log_tol=st.floats(-10, -4),
+    offset=st.floats(-1, 1),
+)
+def test_certify_nsd_matches_top_eigenvalue(atoms, N, order, log_tol, offset):
+    locs = [r * np.exp(1j * t) for r, t, _ in atoms]
+    assume(len(set(locs)) == len(locs))
+    mu = PointMassMeasure(atoms=tuple(zip(locs, (w for _, _, w in atoms))))
+    order = min(order, N - 1)
+    A = hyperexpansive_form(dmu_gram(mu, N), order).entries
+    tol = 10**log_tol
+    # shift the form so its top eigenvalue lands near tol * (1 + offset)
+    top = np.linalg.eigvalsh((A + A.conj().T) / 2)[-1]
+    A = A + (tol * (1 + offset) - top) * np.eye(N - order)
+    top = np.linalg.eigvalsh((A + A.conj().T) / 2)[-1]
+    cert = certify_nsd(A, tol)
+    if abs(top - tol) > 1e-3 * tol:
+        assert cert.passed == (top <= tol)
+    if cert.passed:
+        assert cert.context["witness"] in ("diagonal", "eigenvalue")
+        assert cert.witness <= top + 1e-3 * tol
+    else:
+        assert cert.context["witness"] == "eigenvalue"
+        assert cert.witness == top
+

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dbrlab.debranges import MoebiusSymbol, SymbolError
+from dbrlab.dirichlet import PointMassMeasure, dmu_gram
 from dbrlab.synthesis import (
     classify_symbol,
     corollary_params,
@@ -85,6 +86,26 @@ class TestVerifyNormEquality:
         # ~1e-8 into rho and a Gram deviation of ~1e-2 at N = 512
         for k in range(12):
             assert verify_norm_equality(alpha, np.exp(1j * np.pi * k / 6), 512).passed
+
+    def test_relative_tolerance_large_alpha(self):
+        # Gram entries reach ~|alpha|^2 N = 4000, so their roundoff exceeds an
+        # absolute 1e-9; an absolute tolerance FAILed 23 of these 40
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            alpha = rng.uniform(1.9, 2.0)
+            lam = np.exp(2j * np.pi * rng.uniform())
+            cert = verify_norm_equality(alpha, lam, 1024)
+            assert cert.passed, (alpha, lam, cert.witness, cert.tolerance)
+            assert cert.tolerance > 1e-9
+
+    def test_tolerance_scales_with_gram(self):
+        mu = PointMassMeasure.single(0.5, 4.0)
+        scale = np.abs(dmu_gram(mu, 24).entries).max()
+        assert scale > 5  # 1 + 4 * sum_l 0.25^l -> 19/3
+        cert = verify_norm_equality(2, 0.5, 24, tol=1e-9)
+        assert cert.tolerance == 1e-9 * scale
+        # the scale never drops below 1: H^2 alone has Gram I
+        assert verify_norm_equality(0, 0.3, 8, tol=1e-9).tolerance == 1e-9
 
 
 class TestCorollaryParams:
