@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirichlet import PointMassMeasure, dmu_gram
-from .operators import Certificate, _count_above, defect_matrix
+from .operators import Certificate, _start_block, defect_matrix, numerical_rank
 
 # atoms may stick out of the disk by at most this much before recovery fails;
 # smaller excursions are clamped radially to the circle
@@ -36,27 +36,14 @@ class RecoveryResult:
         return d
 
 
-def _start_block(n, k):
-    """Fixed pseudo-random n x k block of unit-modulus entries.
-
-    The phases are SplitMix64 outputs (Steele, Lea & Flood, OOPSLA 2014) of
-    1, 2, ..., n*k, written in numpy so that a recovery does not import
-    numpy.random (~13 ms and ~6 MB in a fresh process).
-    """
-    z = np.arange(1, n * k + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    phase = (z >> np.uint64(11)).astype(float) * 2.0**-53
-    return np.exp(2j * np.pi * phase).reshape(n, k)
-
-
 def recover_atoms(M, k=None, rank_tol=1e-8):
     """Invert the moment map: locations via shift invariance, weights via least squares.
 
     k is the expected atom count; when omitted it is set to the numerical
-    rank of M, the number of |eigenvalues| of its Hermitian part H above
-    rank_tol times the largest. Requires at least k+1 rows of moments.
+    rank of M, `numerical_rank` of its Hermitian part H at rank_tol: the
+    number of |eigenvalues| of H above rank_tol times the largest, decided
+    by a certified sketch without an N x N eigensolve when the rank is
+    small. Requires at least k+1 rows of moments.
 
     The column space used for the locations is that of the k largest-|eigenvalue|
     directions of H, found without eigenvectors: two subspace-iteration steps
@@ -80,8 +67,7 @@ def recover_atoms(M, k=None, rank_tol=1e-8):
         raise RecoveryError("moment matrix must be square")
     N = M.shape[0]
     H = (M + M.conj().T) / 2
-    # for a Hermitian matrix the |eigenvalues| are the singular values
-    rank = _count_above(np.abs(np.linalg.eigvalsh(H)), rank_tol)
+    rank = numerical_rank(H, rank_tol)
     if k is None:
         k = rank
     k = int(k)
@@ -174,5 +160,6 @@ def roundtrip_check(mu, n, tol=1e-8):
             "atoms": len(mu),
             "recovered": len(result.measure),
             "residual": result.residual,
+            "condition": result.condition,
         },
     )

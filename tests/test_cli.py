@@ -35,6 +35,22 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_recover_loads_no_numpy_random(tmp_path):
+    # the rank sketch and the recovery basis start from SplitMix64 phases,
+    # not numpy.random (~13 ms and ~6 MB more per CLI call)
+    env = dict(os.environ, PYTHONPATH=str(Path(dbrlab.__file__).parents[1]))
+    path = write_measure(tmp_path, PointMassMeasure(atoms=((0.5, 1.0), (0.3 + 0.4j, 2.0))))
+    code = (
+        "import sys; from dbrlab.cli import main; "
+        "code = main(['recover', '--measure', sys.argv[1], '--size', '8']); "
+        "print(code, 'numpy.random' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, path], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip().splitlines()[-1] == "0 False"
+
+
 class TestParseComplex:
     def test_real(self):
         assert parse_complex("0.5") == 0.5

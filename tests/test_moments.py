@@ -5,9 +5,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dbrlab.dirichlet import PointMassMeasure, moment_matrix
+from dbrlab.operators import _start_block
 from dbrlab.moments import (
     RecoveryError,
-    _start_block,
     match_atoms,
     recover_atoms,
     roundtrip_check,
@@ -122,6 +122,14 @@ class TestRoundtrip:
             atoms=((np.exp(2.2j), 0.5), (0.4 + 0.1j, 1.0), (-0.5j, 2.0))
         )
         assert roundtrip_check(mu, 10).passed
+
+    def test_reports_vandermonde_condition(self):
+        # the condition recover_atoms computes reaches the certificate
+        mu = PointMassMeasure(atoms=((0.5, 1.0), (0.5 + 1e-3j, 2.0)))
+        cert = roundtrip_check(mu, 12)
+        want = recover_atoms(moment_matrix(mu, 12)).condition
+        assert cert.context["condition"] == pytest.approx(want, rel=1e-6)
+        assert cert.context["condition"] > 1e3
 
     def test_empty_measure(self):
         cert = roundtrip_check(PointMassMeasure.empty(), 3)

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from dbrlab.debranges import MoebiusSymbol, pythagorean_mate
 from dbrlab.dirichlet import PointMassMeasure, dmu_gram, moment_matrix
+from dbrlab.moments import recover_atoms
 from dbrlab.operators import (
+    SKETCH_COLS,
     certify_nsd,
     defect_matrix,
     hyperexpansive_form,
@@ -125,6 +127,122 @@ class TestDefectAndRank:
             mu = random_measure(rng)
             D = defect_matrix(dmu_gram(mu, len(mu) + 3))
             assert numerical_rank(D, 1e-8) == len(mu)
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0, 1.5, -0.1])
+    def test_rejects_bad_threshold(self, tau):
+        v = 0.7 ** np.arange(12)
+        for M in (np.outer(v, v), np.eye(12)):
+            with pytest.raises(ValueError):
+                numerical_rank(M, tau)
+
+    def test_empty_matrix(self):
+        assert numerical_rank(np.zeros((0, 0))) == 0
+
+
+def spy(monkeypatch, name):
+    """Record the shape of every np.linalg.<name> argument."""
+    real, shapes = getattr(np.linalg, name), []
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recorded)
+    return shapes
+
+
+class TestSketchRank:
+    def test_more_atoms_than_sketch_columns(self, monkeypatch):
+        # two light atoms beyond the 8 the sketch can hold: its residual is
+        # far below the heavy eigenvalues but far above tau * sigma_1
+        locs = 0.9 * np.exp(2j * np.pi * np.arange(10) / 10)
+        mu = PointMassMeasure(atoms=tuple(zip(locs, [1.0] * 8 + [1e-3] * 2)))
+        svds = spy(monkeypatch, "svd")
+        assert numerical_rank(moment_matrix(mu, 40)) == 10
+        assert svds == [(40, 40)]
+
+    def test_margin_below_rounding_goes_to_svd(self, monkeypatch):
+        # sigma_2 clears tau * sigma_1 by 1e-13, inside the sketch's rounding
+        # allowance (32 * 64 * eps ~ 4.5e-13) though far above its real error
+        M = np.diag([1.0, 1e-8 + 1e-13] + [0.0] * 62)
+        svds = spy(monkeypatch, "svd")
+        assert numerical_rank(M, 1e-8) == 2
+        assert svds == [(64, 64)]
+
+    def test_zero_matrix_needs_no_svd(self, monkeypatch):
+        svds = spy(monkeypatch, "svd")
+        assert numerical_rank(np.zeros((512, 512))) == 0
+        assert svds == []
+
+    def test_non_hermitian_shift(self, monkeypatch):
+        svds = spy(monkeypatch, "svd")
+        assert numerical_rank(np.eye(30, k=1)) == 29
+        assert svds == [(30, 30)]
+
+    def test_non_square(self, monkeypatch):
+        v, w = 0.7 ** np.arange(9), 0.5 ** np.arange(5)
+        M = np.outer(v, w) + np.outer(np.cos(np.arange(9)), np.sin(np.arange(5)))
+        svds = spy(monkeypatch, "svd")
+        assert numerical_rank(M) == 2
+        assert svds == [(9, 5)]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_low_rank_defect_needs_no_dense_spectrum(self, monkeypatch, k):
+        rng = np.random.default_rng(34 + k)
+        atoms = [(np.exp(2j * np.pi * rng.uniform()), rng.uniform(0.1, 3))]
+        while len(atoms) < k:
+            z = np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+            if all(abs(z - z0) >= 0.1 for z0, _ in atoms):
+                atoms.append((z, rng.uniform(0.1, 3)))
+        D = defect_matrix(dmu_gram(PointMassMeasure(atoms=tuple(atoms)), 512))
+        svds, eigs = spy(monkeypatch, "svd"), spy(monkeypatch, "eigvalsh")
+        assert numerical_rank(D) == k
+        assert len(recover_atoms(D).measure) == k
+        assert svds == []
+        assert eigs and all(max(shape) <= SKETCH_COLS for shape in eigs)
+
+
+sketch_atom = st.tuples(
+    st.one_of(st.just(1.0), st.floats(0, 1)),  # radius, boundary allowed
+    st.floats(0, 2 * np.pi),
+    st.floats(1e-3, 3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    atoms=st.lists(sketch_atom, min_size=0, max_size=12),
+    twin=st.one_of(st.none(), st.floats(-5, -3)),
+    N=st.integers(1, 80),
+    defect=st.booleans(),
+    noise=st.sampled_from([0.0, 1e-14]),
+    log_tau=st.one_of(st.just(-8.0), st.floats(-15, -0.5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sketch_rank_matches_svd(atoms, twin, N, defect, noise, log_tau, seed):
+    locs = [r * np.exp(1j * t) for r, t, _ in atoms]
+    weights = [w for _, _, w in atoms]
+    if twin is not None and locs:
+        # a near-collision: an atom about 10^twin from the first, inside the disk
+        z = locs[0] * (1 - 10**twin) if abs(locs[0]) > 0.5 else locs[0] + 10**twin
+        locs.append(z)
+        weights.append(weights[0])
+    assume(len(set(locs)) == len(locs))
+    mu = PointMassMeasure(atoms=tuple(zip(locs, weights)))
+    if defect:
+        M = defect_matrix(dmu_gram(mu, N + 1))
+    else:
+        M = moment_matrix(mu, N)
+    rng = np.random.default_rng(seed)
+    E = rng.standard_normal(M.shape) + 1j * rng.standard_normal(M.shape)
+    M = M + noise * np.abs(M).max() * E
+    # the dense reference: singular values above tau * sigma_1, none of them
+    # within 1e-6 * tau * sigma_1 of that threshold
+    s = np.linalg.svd(M, compute_uv=False)
+    threshold = 10**log_tau * s[0]
+    assume(s[0] == 0 or not np.any(np.abs(s - threshold) <= 1e-6 * threshold))
+    want = 0 if s[0] <= 1e-300 else int(np.count_nonzero(s > threshold))
+    assert numerical_rank(M, 10**log_tau) == want
 
 
 class TestRatioIdentity:
