@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .debranges import (
+    CIRCLE_SAMPLES,
     MoebiusSymbol,
     SymbolError,
     hb_cauchy_norm,
@@ -38,21 +39,27 @@ from .dirichlet import (
 from .hardy import h2_inner
 from .moments import RecoveryError, recover_atoms
 from .operators import (
+    NSD_TOL,
+    RANK_TOL,
     Certificate,
     certify_nsd,
     defect_matrix,
     hyperexpansive_form,
     numerical_rank,
 )
-from .synthesis import synthesize_symbol, synthesized_pair, verify_norm_equality
+from .synthesis import (
+    point_mass,
+    synthesize_symbol,
+    synthesized_pair,
+    verify_norm_equality,
+)
 
 DEFAULT_TOLS = {
     "mate": 1e-12,
     "equality": 1e-9,
-    "nsd": 1e-10,
+    "nsd": NSD_TOL,
     "moment": 1e-12,
-    "rank": 1e-8,
-    "recover": 1e-8,
+    "rank": RANK_TOL,
     "kernel": 1e-8,
 }
 
@@ -124,13 +131,13 @@ def cmd_mate(args):
         print(f"error: {e}", file=sys.stderr)
         return 1
     tol = _tol(args, "mate")
-    dev = pair.unit_circle_deviation(64)
+    dev = pair.unit_circle_deviation()
     cert = Certificate(
         kind="unit-circle-sum",
         passed=dev <= tol,
         witness=dev,
         tolerance=tol,
-        context={"samples": 64},
+        context={"samples": CIRCLE_SAMPLES},
     )
     payload = pair.to_json_dict()
     payload["certificate"] = cert.to_json_dict()
@@ -164,14 +171,9 @@ def cmd_verify_equality(args):
     cert = verify_norm_equality(alpha, lam, args.size, tol=_tol(args, "equality"))
     if args.out:
         prefix = Path(args.out)
-        mu = (
-            PointMassMeasure.single(lam, abs(alpha) ** 2)
-            if abs(alpha) > 0
-            else PointMassMeasure.empty()
-        )
         pair = synthesized_pair(alpha, lam)
         prefix.with_suffix(".dmu.csv").write_text(
-            gram_to_csv_text(dmu_gram(mu, args.size).entries)
+            gram_to_csv_text(dmu_gram(point_mass(alpha, lam), args.size).entries)
         )
         prefix.with_suffix(".hb.csv").write_text(
             gram_to_csv_text(hb_gram(pair, args.size).entries)
@@ -187,7 +189,7 @@ def cmd_certify(args):
     G = dmu_gram(mu, args.size)
     nsd_tol = _tol(args, "nsd")
     certs = [
-        certify_nsd(hyperexpansive_form(G, n), tol=nsd_tol)
+        certify_nsd(hyperexpansive_form(G, n), tol=nsd_tol, order=n)
         for n in range(1, args.n_max + 1)
     ]
     D = defect_matrix(G)
@@ -235,13 +237,13 @@ def cmd_recover(args):
 
 def cmd_kernel_norms(args):
     pair = synthesized_pair(args.alpha, args.lam)
+    mu = point_mass(args.alpha, args.lam)
     rng = np.random.default_rng(args.seed)
     tol = _tol(args, "kernel")
     certs = []
     for _ in range(args.points):
         w = args.radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         k = truncated_cauchy_kernel(w, args.degree)
-        mu = PointMassMeasure.single(args.lam, abs(args.alpha) ** 2)
         direct_dmu = float(np.real(dmu_inner(k, k, mu) - h2_inner(k, k)))
         closed_dmu = dmu_cauchy_norm(args.alpha, args.lam, w)
         rel_dmu = abs(direct_dmu - closed_dmu) / closed_dmu if closed_dmu else 0.0

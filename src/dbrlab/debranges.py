@@ -21,6 +21,9 @@ from .dirichlet import GramMatrix, _toeplitz_gram
 
 # tolerance for the exact coefficient feasibility / innerness classification
 CLASS_TOL = 1e-12
+CIRCLE_SAMPLES = 64
+SHIFT_TAIL = 1e-16
+SHIFT_MAX_DEGREE = 2000
 
 
 class SymbolError(ValueError):
@@ -125,16 +128,13 @@ class PythagoreanPair:
     def mate_eval(self, z):
         return (self.rho - self.sigma * z) / (1 - self.b.beta * z)
 
-    def mate_taylor(self, n):
-        return hardy.moebius_taylor(self.rho, -self.sigma, self.b.beta, n)
-
     def smirnov_quotient(self, z):
         """phi(z) = b(z)/a(z); determines the pair up to normalization."""
         return self.b(z) / self.mate_eval(z)
 
-    def unit_circle_deviation(self, samples=64):
-        """max | |a|^2 + |b|^2 - 1 | over the sample-th roots of unity."""
-        om = np.exp(2j * np.pi * np.arange(samples) / samples)
+    def unit_circle_deviation(self):
+        """max | |a|^2 + |b|^2 - 1 | over the CIRCLE_SAMPLES-th roots of unity."""
+        om = np.exp(2j * np.pi * np.arange(CIRCLE_SAMPLES) / CIRCLE_SAMPLES)
         vals = np.abs(self.mate_eval(om)) ** 2 + np.abs(self.b(om)) ** 2
         return float(np.abs(vals - 1).max())
 
@@ -201,22 +201,6 @@ def fplus(f, pair):
     return hardy.normalize(x)
 
 
-def coanalytic_toeplitz_apply(symbol_coeffs, f):
-    """Apply T_conj(u) to a polynomial: (T_conj(u) f)_i = sum_{j>=i} conj(u_{j-i}) f_j.
-
-    Generic dense application, used as the independent residual check for
-    the triangular solve in fplus.
-    """
-    u = hardy.as_poly(symbol_coeffs)
-    f = hardy.as_poly(f)
-    d = len(f) - 1
-    out = np.zeros(d + 1, dtype=complex)
-    for i in range(d + 1):
-        m = min(len(u), d + 1 - i)
-        out[i] = np.dot(np.conj(u[:m]), f[i : i + m])
-    return out
-
-
 def hb_inner(f, g, pair):
     """H(b) inner product <f,g> + <f+,g+> of two polynomials."""
     fp = fplus(f, pair)
@@ -235,7 +219,7 @@ def hb_gram(pair, n):
         raise ValueError("Gram size must be >= 1")
     q = fplus(hardy.monomial(n - 1), pair)
     u = np.pad(q[::-1], (n - len(q), 0))
-    return GramMatrix(space_tag="hb", entries=_toeplitz_gram(u[np.newaxis]))
+    return GramMatrix(entries=_toeplitz_gram(u[np.newaxis]))
 
 
 def hb_cauchy_norm(pair, w):
@@ -249,15 +233,15 @@ def hb_cauchy_norm(pair, w):
     return (1 + abs(pair.smirnov_quotient(w)) ** 2) / (1 - abs(w) ** 2)
 
 
-def shifted_symbol(b, tail=1e-16, max_degree=2000):
+def shifted_symbol(b):
     """Truncated Taylor coefficients of S*b (the symbol with its constant dropped).
 
     Truncation degree M is chosen so the geometric coefficient tail
-    |beta|^M is at most `tail`.
+    |beta|^M is at most SHIFT_TAIL, with M <= SHIFT_MAX_DEGREE.
     """
     if abs(b.beta) < 1e-300:
         m = 2
     else:
-        m = min(max_degree, math.ceil(math.log(tail) / math.log(abs(b.beta))))
-        m = max(m, 2)
+        m = math.ceil(math.log(SHIFT_TAIL) / math.log(abs(b.beta)))
+        m = max(min(SHIFT_MAX_DEGREE, m), 2)
     return hardy.normalize(b.taylor(m + 1)[1:])

@@ -76,30 +76,12 @@ class PointMassMeasure:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Hermitian matrix of monomial inner products in a designated space."""
+    """Hermitian matrix of monomial inner products."""
 
-    space_tag: str
     entries: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "entries", np.asarray(self.entries, dtype=complex))
-
-    @property
-    def size(self):
-        return self.entries.shape[0]
-
-    def validate(self, herm_tol=1e-12, psd_tol=1e-10):
-        """Check the Gram invariants; raises on violation."""
-        G = self.entries
-        scale = max(1.0, float(np.abs(G).max()))
-        if np.abs(G - G.conj().T).max() > herm_tol * scale:
-            raise ValueError(f"{self.space_tag}: Gram matrix not Hermitian")
-        w = np.linalg.eigvalsh((G + G.conj().T) / 2)
-        if w[0] < -psd_tol * scale:
-            raise ValueError(f"{self.space_tag}: Gram matrix not PSD ({w[0]})")
-        d = np.diag(G)
-        if np.abs(d.imag).max() > herm_tol * scale or d.real.min() < 1 - herm_tol * scale:
-            raise ValueError(f"{self.space_tag}: Gram diagonal must be real and >= 1")
 
 
 def local_dirichlet(f, zeta):
@@ -145,7 +127,7 @@ def dmu_gram(mu, n):
     U = np.zeros((len(mu), n), dtype=complex)
     for r, (z, w) in enumerate(mu.atoms):
         U[r, 1:] = np.sqrt(w) * np.asarray(z, dtype=complex) ** np.arange(n - 1)
-    return GramMatrix(space_tag="dmu", entries=_toeplitz_gram(U))
+    return GramMatrix(entries=_toeplitz_gram(U))
 
 
 def moment_matrix(mu, n):

@@ -48,14 +48,6 @@ def h2_inner(f, g):
     return complex(np.vdot(g[:n], f[:n]))
 
 
-def poly_eval(f, z):
-    """Evaluate sum_k f_k z^k by Horner's scheme."""
-    acc = 0j
-    for c in as_poly(f)[::-1]:
-        acc = acc * z + c
-    return acc
-
-
 def difference_quotient(f, zeta):
     """Exact synthetic division of f by (z - zeta).
 

@@ -11,7 +11,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirichlet import PointMassMeasure, dmu_gram
-from .operators import Certificate, _start_block, defect_matrix, numerical_rank
+from .operators import (
+    RANK_TOL,
+    SKETCH_COLS,
+    Certificate,
+    _sketch,
+    _sketch_rank,
+    defect_matrix,
+    numerical_rank,
+)
 
 # atoms may stick out of the disk by at most this much before recovery fails;
 # smaller excursions are clamped radially to the circle
@@ -36,23 +44,27 @@ class RecoveryResult:
         return d
 
 
-def recover_atoms(M, k=None, rank_tol=1e-8):
+def recover_atoms(M, k=None, rank_tol=RANK_TOL):
     """Invert the moment map: locations via shift invariance, weights via least squares.
 
     k is the expected atom count; when omitted it is set to the numerical
-    rank of M, `numerical_rank` of its Hermitian part H at rank_tol: the
-    number of |eigenvalues| of H above rank_tol times the largest, decided
-    by a certified sketch without an N x N eigensolve when the rank is
-    small. Requires at least k+1 rows of moments.
+    rank of M, that of its Hermitian part H at rank_tol: the number of
+    |eigenvalues| of H above rank_tol times the largest. The certified
+    sketch of `_sketch_rank` decides it without an N x N eigensolve when the
+    rank is small; `numerical_rank` only when the sketch leaves it
+    undecided. Requires at least k+1 rows of moments.
 
     The column space used for the locations is that of the k largest-|eigenvalue|
-    directions of H, found without eigenvectors: two subspace-iteration steps
-    from a fixed pseudo-random start (`_start_block`), each followed by a QR,
-    so the output is deterministic. For the moment matrix of a positive
-    measure these are its k positive eigenvalues. For a signed input the
-    negative directions count by their size too, unlike a basis of the top k
-    algebraic eigenvectors: the fit then finds the negative weight and raises
-    RecoveryError instead of fitting a positive measure to the wrong space.
+    directions of H, found without an N x N eigensolve: the Ritz basis of the
+    rank sketch, Q times the eigenvectors of the small S = Q^H H Q with the k
+    largest |eigenvalues| (Rayleigh-Ritz). Q spans two subspace-iteration
+    steps from a fixed pseudo-random start, so the output is deterministic;
+    it has SKETCH_COLS columns, or k of its own (`_sketch`) when k is larger.
+    For the moment matrix of a positive measure these are its k positive
+    eigenvalues. For a signed input the negative directions count by their
+    size too, unlike a basis of the top k algebraic eigenvectors: the fit
+    then finds the negative weight and raises RecoveryError instead of
+    fitting a positive measure to the wrong space.
 
     The weights are the unconstrained least-squares fit, rejected unless every
     one exceeds WEIGHT_FLOOR. That is the nonnegative least-squares answer:
@@ -67,7 +79,9 @@ def recover_atoms(M, k=None, rank_tol=1e-8):
         raise RecoveryError("moment matrix must be square")
     N = M.shape[0]
     H = (M + M.conj().T) / 2
-    rank = numerical_rank(H, rank_tol)
+    rank, Q, S = _sketch_rank(H, rank_tol)
+    if rank is None:
+        rank = numerical_rank(H, rank_tol)
     if k is None:
         k = rank
     k = int(k)
@@ -82,9 +96,10 @@ def recover_atoms(M, k=None, rank_tol=1e-8):
     if N < k + 1:
         raise RecoveryError(f"need at least {k + 1} moment rows for {k} atoms")
 
-    U = _start_block(N, k)
-    for _ in range(2):
-        U, _ = np.linalg.qr(H @ U)
+    if k > SKETCH_COLS:
+        Q, S = _sketch(H, k)
+    lam, W = np.linalg.eigh(S)
+    U = Q @ W[:, np.argsort(-np.abs(lam))[:k]]
 
     # column space is Vandermonde: U shifted down one row = U times Phi
     Phi, *_ = np.linalg.lstsq(U[:-1, :], U[1:, :], rcond=None)

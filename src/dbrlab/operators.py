@@ -7,7 +7,6 @@ n-hyperexpansive on the space exactly when those forms are negative
 semidefinite.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -35,21 +34,6 @@ def _entries(G):
 
 
 @dataclass(frozen=True)
-class HermitianForm:
-    """Compressed quadratic form of a fixed hyperexpansivity order."""
-
-    entries: np.ndarray
-    order: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", np.asarray(self.entries, dtype=complex))
-
-    @property
-    def size(self):
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
 class Certificate:
     """Outcome of one numerical check: extremal witness against a tolerance."""
 
@@ -73,9 +57,6 @@ class Certificate:
             "context": self.context,
         }
 
-    def dumps(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def hyperexpansive_form(G, n):
     """Order-n alternating binomial form B_n[j][k] = sum_i (-1)^i C(n,i) G[k+i][j+i].
@@ -92,10 +73,10 @@ def hyperexpansive_form(G, n):
     B = np.zeros((m, m), dtype=complex)
     for i in range(n + 1):
         B += (-1) ** i * math.comb(n, i) * A[i : i + m, i : i + m].T
-    return HermitianForm(entries=B, order=n)
+    return B
 
 
-def certify_nsd(B, tol=NSD_TOL):
+def certify_nsd(B, tol=NSD_TOL, order=None):
     """Certify a Hermitian form negative semidefinite: its top eigenvalue is <= tol.
 
     The Hermitian part H decides by one Cholesky factorization of tol*I - H,
@@ -104,10 +85,10 @@ def certify_nsd(B, tol=NSD_TOL):
     is max Re diag H, a Rayleigh-quotient lower bound on the top eigenvalue.
     When the factorization fails, eigvalsh(H) gives the top eigenvalue as
     the witness and the verdict top <= tol. context["witness"] names which
-    of the two, "diagonal" or "eigenvalue", was reported.
+    of the two, "diagonal" or "eigenvalue", was reported; order only labels
+    context["order"].
     """
-    A = B.entries if isinstance(B, HermitianForm) else np.asarray(B, dtype=complex)
-    order = B.order if isinstance(B, HermitianForm) else None
+    A = np.asarray(B, dtype=complex)
     C = np.conj(A.T)
     C += A
     C *= -0.5
@@ -152,30 +133,41 @@ def _start_block(n, k):
     return np.exp(2j * np.pi * phase).reshape(n, k)
 
 
-def _sketch_rank(M, tau):
-    """The count of numerical_rank from a SKETCH_COLS-column sketch, or None if undecided.
-
-    Q spans two subspace-iteration steps on the Hermitian part H of M, and
-    S = Q^H H Q. Every singular value of M lies within e of the matching
-    one of Q S Q^H, which are |eigenvalues of S| padded with zeros
-    (Weyl/Mirsky), where e bounds ||M - Q S Q^H||_2 plus the rounding of
-    the whole sketch. sigma_1 is at least m = max |eig S|, a Rayleigh
-    quotient of H, hence of M. So tau * sigma_1 lies in [tau m, tau (m + e)],
-    and the count is exact when the padding zeros lie below it (e < tau m)
-    and no |eig S| lies within e of that interval. sigma_1 <= m + e also
-    certifies a zero count when m + e <= ZERO_SIGMA.
-    """
-    N = M.shape[0]
-    if M.shape[1] != N:
-        return None
-    H = np.conjugate(M.T, order="C")
-    H += M
-    H *= 0.5
-    Q = _start_block(N, min(SKETCH_COLS, N))
+def _sketch(H, p):
+    """(Q, S): p columns from `_start_block`, two subspace-iteration steps
+    on the Hermitian matrix H, each followed by a QR, and S = Q^H H Q."""
+    Q = _start_block(H.shape[0], p)
     for _ in range(2):
         Q, _ = np.linalg.qr(H @ Q)
     S = Q.conj().T @ (H @ Q)
-    S = (S + S.conj().T) / 2
+    return Q, (S + S.conj().T) / 2
+
+
+def _sketch_rank(M, tau):
+    """(count, Q, S): the count of numerical_rank, or None if undecided, from
+    the `_sketch` (Q, S) of SKETCH_COLS columns on the Hermitian part H of M.
+
+    Every singular value of M lies within e of the matching one of
+    Q S Q^H, which are |eigenvalues of S| padded with zeros (Weyl/Mirsky),
+    where e bounds ||M - Q S Q^H||_2 plus the rounding of the whole sketch.
+    sigma_1 is at least m = max |eig S|, a Rayleigh quotient of H, hence of
+    M. So tau * sigma_1 lies in [tau m, tau (m + e)], and the count is exact
+    when the padding zeros lie below it (e < tau m) and no |eig S| lies
+    within e of that interval. sigma_1 <= m + e also certifies a zero count
+    when m + e <= ZERO_SIGMA. An empty M has count 0 and a non-square one
+    no sketch: Q and S are then None.
+    """
+    if not 0 < tau < 1:
+        raise ValueError("relative threshold must lie in (0, 1)")
+    N = M.shape[0]
+    if M.size == 0:
+        return 0, None, None
+    if M.shape[1] != N:
+        return None, None, None
+    H = np.conjugate(M.T, order="C")
+    H += M
+    H *= 0.5
+    Q, S = _sketch(H, min(SKETCH_COLS, N))
     # the residual overwrites H: one N x N temporary in all
     E = np.matmul(Q @ S, Q.conj().T, out=H)
     E -= M
@@ -184,11 +176,11 @@ def _sketch_rank(M, tau):
     lam = np.abs(np.linalg.eigvalsh(S))
     m = float(lam.max())
     if m + e <= ZERO_SIGMA:
-        return 0
+        return 0, Q, S
     lo, hi = tau * m, tau * (m + e)
     if not (m > ZERO_SIGMA and e < lo) or np.any((lam >= lo - e) & (lam <= hi + e)):
-        return None
-    return int(np.count_nonzero(lam > hi))
+        return None, Q, S
+    return int(np.count_nonzero(lam > hi)), Q, S
 
 
 def numerical_rank(M, tau=RANK_TOL):
@@ -199,12 +191,8 @@ def numerical_rank(M, tau=RANK_TOL):
     it does not: rank above SKETCH_COLS, a singular value near the
     threshold, strongly non-Hermitian or non-square M.
     """
-    if not 0 < tau < 1:
-        raise ValueError("relative threshold must lie in (0, 1)")
     M = np.asarray(M, dtype=complex)
-    if M.size == 0:
-        return 0
-    rank = _sketch_rank(M, tau)
+    rank, _, _ = _sketch_rank(M, tau)
     if rank is None:
         s = np.linalg.svd(M, compute_uv=False)
         rank = 0 if s[0] <= ZERO_SIGMA else int(np.count_nonzero(s > tau * s[0]))
@@ -226,11 +214,11 @@ def ratio_identity_check(G_b, pair, n_max, tol=1e-8):
     if m < 1:
         raise ValueError(f"Gram size {A.shape[0]} too small for n_max = {n_max}")
     r = 1 - abs(pair.sigma / pair.rho) ** 2
-    B2 = hyperexpansive_form(A, 2).entries[:m, :m]
+    B2 = hyperexpansive_form(A, 2)[:m, :m]
     scale = max(1.0, float(np.linalg.norm(B2)))
     worst = 0.0
     for n in range(3, n_max + 1):
-        Bn = hyperexpansive_form(A, n).entries[:m, :m]
+        Bn = hyperexpansive_form(A, n)[:m, :m]
         worst = max(worst, float(np.linalg.norm(Bn - r ** (n - 2) * B2)))
     return Certificate(
         kind="ratio-identity",
@@ -241,7 +229,7 @@ def ratio_identity_check(G_b, pair, n_max, tol=1e-8):
     )
 
 
-def rank1_defect_check(G_b, pair, tol=1e-8, rank_tol=RANK_TOL):
+def rank1_defect_check(G_b, pair, tol=1e-8):
     """Verify the H(b) defect is rank 1 with eigenvalue rho^-2 ||S*b||_b^2.
 
     The defect entries are coefficients against non-orthonormal monomials,
@@ -253,7 +241,7 @@ def rank1_defect_check(G_b, pair, tol=1e-8, rank_tol=RANK_TOL):
     """
     A = _entries(G_b)
     D = defect_matrix(A)
-    rank = numerical_rank(D, rank_tol)
+    rank = numerical_rank(D)
     sb = debranges.shifted_symbol(pair.b)
     if len(sb) == 0:
         # b constant: zero defect, nothing to compare

@@ -22,12 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .debranges import MoebiusSymbol, hb_gram, pythagorean_mate, validate_symbol
+from .debranges import MoebiusSymbol, _s_and_p, hb_gram, pythagorean_mate, validate_symbol
 from .dirichlet import PointMassMeasure, dmu_gram
 from .operators import Certificate
 
 TWO_ISOMETRY_TOL = 1e-10
-CIRCLE_SUM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -61,6 +60,13 @@ def synthesize_symbol(alpha, lam):
     return SynthesisOutput(A=math.sqrt(A2), B=A2 * np.conj(lam) / aa)
 
 
+def point_mass(alpha, lam):
+    """mu = |alpha|^2 delta_lam; the zero measure when alpha = 0."""
+    if abs(alpha) == 0:
+        return PointMassMeasure.empty()
+    return PointMassMeasure.single(lam, abs(alpha) ** 2)
+
+
 def synthesized_pair(alpha, lam):
     """Symbol plus Pythagorean mate for mu = |alpha|^2 delta_lam."""
     return pythagorean_mate(synthesize_symbol(alpha, lam).symbol())
@@ -78,12 +84,8 @@ def verify_norm_equality(alpha, lam, n, tol=1e-9):
         raise ValueError("need Gram size >= 2")
     alpha = complex(alpha)
     lam = complex(lam)
-    if abs(alpha) == 0:
-        mu = PointMassMeasure.empty()
-    else:
-        mu = PointMassMeasure.single(lam, abs(alpha) ** 2)
     pair = synthesized_pair(alpha, lam)
-    G = dmu_gram(mu, n).entries
+    G = dmu_gram(point_mass(alpha, lam), n).entries
     # a Gram matrix's largest entry is on its diagonal: |G_ij|^2 <= G_ii G_jj
     tol = tol * max(1.0, float(G.diagonal().real.max()))
     G -= hb_gram(pair, n).entries
@@ -135,6 +137,6 @@ def classify_symbol(b):
     flags = validate_symbol(b.c, b.gamma, b.beta)
     if not flags.nonextreme:
         raise ValueError("classification requires a valid nonextreme symbol")
-    s = 1 + abs(b.beta) ** 2 - abs(b.c) ** 2 - abs(b.gamma) ** 2
-    two_iso = abs(s - 2 * abs(b.beta + np.conj(b.c) * b.gamma)) <= TWO_ISOMETRY_TOL
+    s, _, root = _s_and_p(b.c, b.gamma, b.beta)
+    two_iso = abs(s - 2 * abs(root)) <= TWO_ISOMETRY_TOL
     return SymbolClassification(completely_hyperexpansive=True, two_isometry=two_iso)

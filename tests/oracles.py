@@ -1,0 +1,52 @@
+"""Reference implementations the tests check the package against.
+
+Each is the plain, slow form of something the package computes another
+way, so none of them belongs to the runtime.
+"""
+
+import numpy as np
+
+from dbrlab import hardy
+
+
+def poly_eval(f, z):
+    """Evaluate sum_k f_k z^k by Horner's scheme."""
+    acc = 0j
+    for c in hardy.as_poly(f)[::-1]:
+        acc = acc * z + c
+    return acc
+
+
+def coanalytic_toeplitz_apply(symbol_coeffs, f):
+    """Apply T_conj(u) to a polynomial: (T_conj(u) f)_i = sum_{j>=i} conj(u_{j-i}) f_j.
+
+    Generic dense application, used as the independent residual check for
+    the triangular solve in fplus.
+    """
+    u = hardy.as_poly(symbol_coeffs)
+    f = hardy.as_poly(f)
+    d = len(f) - 1
+    out = np.zeros(d + 1, dtype=complex)
+    for i in range(d + 1):
+        m = min(len(u), d + 1 - i)
+        out[i] = np.dot(np.conj(u[:m]), f[i : i + m])
+    return out
+
+
+def mate_taylor(pair, n):
+    """First n Taylor coefficients of the mate a(z) = (rho - sigma z)/(1 - beta z)."""
+    return hardy.moebius_taylor(pair.rho, -pair.sigma, pair.b.beta, n)
+
+
+def validate_gram(G, herm_tol=1e-12, psd_tol=1e-10):
+    """Check the Gram invariants: Hermitian, PSD, real diagonal >= 1; raises on violation."""
+    G = np.asarray(G, dtype=complex)
+    scale = max(1.0, float(np.abs(G).max()))
+    if np.abs(G - G.conj().T).max() > herm_tol * scale:
+        raise ValueError("Gram matrix not Hermitian")
+    w = np.linalg.eigvalsh((G + G.conj().T) / 2)
+    if w[0] < -psd_tol * scale:
+        raise ValueError(f"Gram matrix not PSD ({w[0]})")
+    d = np.diag(G)
+    if np.abs(d.imag).max() > herm_tol * scale or d.real.min() < 1 - herm_tol * scale:
+        raise ValueError("Gram diagonal must be real and >= 1")

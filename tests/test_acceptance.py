@@ -102,8 +102,8 @@ def test_criterion_4_two_isometry_dichotomy():
     # forms on monomials of degree <= 16
     boundary = hyperexpansive_form(
         hb_gram(synthesized_pair(1, np.exp(1j * np.pi / 3)), 19), 2
-    ).entries
-    interior = hyperexpansive_form(hb_gram(synthesized_pair(1, 0.5), 19), 2).entries
+    )
+    interior = hyperexpansive_form(hb_gram(synthesized_pair(1, 0.5), 19), 2)
     max_entry = float(np.abs(boundary).max())
     min_eig = float(np.linalg.eigvalsh((interior + interior.conj().T) / 2)[0])
     report(

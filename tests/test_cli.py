@@ -155,6 +155,14 @@ class TestCertify:
         path = write_measure(tmp_path, PointMassMeasure.empty())
         assert main(["certify", "--measure", path, "--size", "8"]) == 0
 
+    def test_nsd_context_names_the_order(self, tmp_path, capsys):
+        mu = PointMassMeasure(atoms=((0.5, 1.0), (-0.3j, 0.5)))
+        path = write_measure(tmp_path, mu)
+        assert main(["certify", "--measure", path, "--size", "16", "--n-max", "7"]) == 0
+        certs = json.loads(capsys.readouterr().out)["certificates"]
+        orders = [c["context"]["order"] for c in certs if c["kind"] == "nsd"]
+        assert orders == list(range(1, 8))
+
 
 class TestRecover:
     def test_from_measure_forward(self, tmp_path, capsys):
@@ -196,12 +204,30 @@ class TestKernelNorms:
         assert len(out["certificates"]) == 8
         assert all(c["pass"] for c in out["certificates"])
 
+    def test_zero_alpha(self, capsys):
+        # mu = 0 and b = 0: both spaces are H^2 and every check passes
+        code = main(["kernel-norms", "--alpha", "0", "--lambda", "0.5", "--points", "3"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert len(out["certificates"]) == 6
+        assert all(c["pass"] for c in out["certificates"])
+
     def test_tol_override_can_fail(self, capsys):
         code = main(
             ["--tol", "kernel=1e-18", "kernel-norms", "--alpha", "1",
              "--lambda", "0.5", "--points", "2"]
         )
         assert code == 1
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("key", ["recover", "bogus"])
+    def test_unknown_key_rejected(self, tmp_path, capsys, key):
+        path = write_measure(tmp_path, PointMassMeasure.single(0, 1.0))
+        with pytest.raises(SystemExit) as exc:
+            main(["--tol", f"{key}=5", "certify", "--measure", path])
+        assert exc.value.code == 2
+        assert f"unknown tolerance key {key!r}" in capsys.readouterr().err
 
 
 class TestGramCsv:

@@ -6,7 +6,6 @@ from dbrlab import hardy
 from dbrlab.debranges import (
     MoebiusSymbol,
     SymbolError,
-    coanalytic_toeplitz_apply,
     fplus,
     hb_cauchy_norm,
     hb_gram,
@@ -16,6 +15,8 @@ from dbrlab.debranges import (
     validate_symbol,
 )
 from dbrlab.dirichlet import dmu_gram, PointMassMeasure, truncated_cauchy_kernel
+
+from oracles import coanalytic_toeplitz_apply, mate_taylor, validate_gram
 
 SQ2 = 1 / np.sqrt(2)
 # single boundary-free reference pair used throughout: b(z) = z/sqrt(2)
@@ -138,7 +139,7 @@ class TestFplus:
             fp = fplus(f, pair)
             # independent dense Toeplitz application of both sides
             n = deg + 1
-            lhs = coanalytic_toeplitz_apply(pair.mate_taylor(n), np.pad(fp, (0, n - len(fp))))
+            lhs = coanalytic_toeplitz_apply(mate_taylor(pair, n), np.pad(fp, (0, n - len(fp))))
             rhs = coanalytic_toeplitz_apply(pair.b.taylor(n), f)
             assert np.abs(lhs - rhs).max() <= 1e-12 * np.linalg.norm(f)
 
@@ -183,7 +184,7 @@ class TestHbGram:
     def test_invariants_and_monotone_diag(self):
         pair = pythagorean_mate(MoebiusSymbol(0.1j, 0.4, 0.2 - 0.3j))
         G = hb_gram(pair, 12)
-        G.validate()
+        validate_gram(G.entries)
         d = np.real(np.diag(G.entries))
         assert np.all(np.diff(d) >= -1e-12)
 

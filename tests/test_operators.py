@@ -24,18 +24,18 @@ from test_dirichlet import random_measure
 class TestHyperexpansiveForm:
     def test_isometry_first_order(self):
         B = hyperexpansive_form(np.eye(5), 1)
-        assert np.all(B.entries == 0)
+        assert np.all(B == 0)
 
     def test_delta0_second_order(self):
         G = dmu_gram(PointMassMeasure.single(0, 1.0), 4)
         B = hyperexpansive_form(G, 2)
-        assert np.allclose(B.entries, np.diag([-1, 0]))
+        assert np.allclose(B, np.diag([-1, 0]))
 
     def test_boundary_atom_two_isometry(self):
         # atoms on the circle give a vanishing order-2 form
         G = dmu_gram(PointMassMeasure.single(np.exp(0.7j), 1.3), 12)
         B = hyperexpansive_form(G, 2)
-        assert np.abs(B.entries).max() <= 1e-10
+        assert np.abs(B).max() <= 1e-10
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
@@ -84,12 +84,12 @@ class TestCertifyNsd:
         boundary = PointMassMeasure(
             atoms=((np.exp(0.3j), 0.5), (np.exp(2.1j), 1.2))
         )
-        B = hyperexpansive_form(dmu_gram(boundary, 10), 2).entries
+        B = hyperexpansive_form(dmu_gram(boundary, 10), 2)
         assert np.abs(B).max() <= 1e-10
         interior = PointMassMeasure(
             atoms=((0.9 * np.exp(1j), 0.1), (np.exp(2.1j), 1.2))
         )
-        B = hyperexpansive_form(dmu_gram(interior, 10), 2).entries
+        B = hyperexpansive_form(dmu_gram(interior, 10), 2)
         c = 0.1 * (1 - 0.9**2)
         assert np.linalg.eigvalsh((B + B.conj().T) / 2)[0] <= -c + 1e-12
 
@@ -197,7 +197,10 @@ class TestSketchRank:
         D = defect_matrix(dmu_gram(PointMassMeasure(atoms=tuple(atoms)), 512))
         svds, eigs = spy(monkeypatch, "svd"), spy(monkeypatch, "eigvalsh")
         assert numerical_rank(D) == k
+        qrs = spy(monkeypatch, "qr")
         assert len(recover_atoms(D).measure) == k
+        # the two sketch steps, shared by the rank and the basis, and one Vandermonde QR
+        assert qrs == [(511, SKETCH_COLS)] * 2 + [(511, k)]
         assert svds == []
         assert eigs and all(max(shape) <= SKETCH_COLS for shape in eigs)
 
@@ -311,7 +314,7 @@ def test_certify_nsd_matches_top_eigenvalue(atoms, N, order, log_tol, offset):
     assume(len(set(locs)) == len(locs))
     mu = PointMassMeasure(atoms=tuple(zip(locs, (w for _, _, w in atoms))))
     order = min(order, N - 1)
-    A = hyperexpansive_form(dmu_gram(mu, N), order).entries
+    A = hyperexpansive_form(dmu_gram(mu, N), order)
     tol = 10**log_tol
     # shift the form so its top eigenvalue lands near tol * (1 + offset)
     top = np.linalg.eigvalsh((A + A.conj().T) / 2)[-1]
