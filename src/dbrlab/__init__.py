@@ -4,7 +4,6 @@ and the hyperexpansive shift correspondence between them."""
 from .hardy import (
     difference_quotient,
     h2_inner,
-    moebius_taylor,
     monomial,
     normalize,
 )
@@ -27,7 +26,6 @@ from .debranges import (
     hb_gram,
     hb_inner,
     pythagorean_mate,
-    shifted_symbol,
     validate_symbol,
 )
 from .operators import (
@@ -35,6 +33,7 @@ from .operators import (
     certify_nsd,
     defect_matrix,
     hyperexpansive_form,
+    hyperexpansive_forms,
     numerical_rank,
     rank1_defect_check,
     ratio_identity_check,
@@ -75,8 +74,8 @@ __all__ = [
     "hb_gram",
     "hb_inner",
     "hyperexpansive_form",
+    "hyperexpansive_forms",
     "local_dirichlet",
-    "moebius_taylor",
     "moment_matrix",
     "monomial",
     "normalize",
@@ -86,7 +85,6 @@ __all__ = [
     "ratio_identity_check",
     "recover_atoms",
     "roundtrip_check",
-    "shifted_symbol",
     "synthesize_symbol",
     "synthesized_pair",
     "truncated_cauchy_kernel",

@@ -24,7 +24,6 @@ from .debranges import (
     MoebiusSymbol,
     SymbolError,
     hb_cauchy_norm,
-    hb_gram,
     hb_inner,
     pythagorean_mate,
 )
@@ -44,14 +43,15 @@ from .operators import (
     Certificate,
     certify_nsd,
     defect_matrix,
-    hyperexpansive_form,
+    hyperexpansive_forms,
     numerical_rank,
 )
 from .synthesis import (
+    _equality_certificate,
+    _equality_grams,
     point_mass,
     synthesize_symbol,
     synthesized_pair,
-    verify_norm_equality,
 )
 
 DEFAULT_TOLS = {
@@ -168,19 +168,14 @@ def cmd_verify_equality(args):
         alpha = complex(np.sqrt(weight))
     else:
         alpha, lam = args.alpha, args.lam
-    cert = verify_norm_equality(alpha, lam, args.size, tol=_tol(args, "equality"))
-    if args.out:
-        prefix = Path(args.out)
-        pair = synthesized_pair(alpha, lam)
-        prefix.with_suffix(".dmu.csv").write_text(
-            gram_to_csv_text(dmu_gram(point_mass(alpha, lam), args.size).entries)
-        )
-        prefix.with_suffix(".hb.csv").write_text(
-            gram_to_csv_text(hb_gram(pair, args.size).entries)
-        )
-        _dump(cert.to_json_dict(), prefix.with_suffix(".json"))
-    else:
-        _dump(cert.to_json_dict(), None)
+    G, G_b = _equality_grams(alpha, lam, args.size)
+    prefix = Path(args.out) if args.out else None
+    if prefix:
+        # the CSVs first: the certificate overwrites G with the difference
+        prefix.with_suffix(".dmu.csv").write_text(gram_to_csv_text(G))
+        prefix.with_suffix(".hb.csv").write_text(gram_to_csv_text(G_b))
+    cert = _equality_certificate(alpha, lam, G, G_b, _tol(args, "equality"))
+    _dump(cert.to_json_dict(), prefix and prefix.with_suffix(".json"))
     return 0 if cert.passed else 1
 
 
@@ -189,8 +184,8 @@ def cmd_certify(args):
     G = dmu_gram(mu, args.size)
     nsd_tol = _tol(args, "nsd")
     certs = [
-        certify_nsd(hyperexpansive_form(G, n), tol=nsd_tol, order=n)
-        for n in range(1, args.n_max + 1)
+        certify_nsd(B, tol=nsd_tol, order=n)
+        for n, B in enumerate(hyperexpansive_forms(G, args.n_max), 1)
     ]
     D = defect_matrix(G)
     M = moment_matrix(mu, args.size - 1)

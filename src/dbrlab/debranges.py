@@ -10,7 +10,6 @@ inner product of polynomials decomposes as
 where f+ is the unique polynomial with T_conj(a) f+ = T_conj(b) f.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,8 +21,6 @@ from .dirichlet import GramMatrix, _toeplitz_gram
 # tolerance for the exact coefficient feasibility / innerness classification
 CLASS_TOL = 1e-12
 CIRCLE_SAMPLES = 64
-SHIFT_TAIL = 1e-16
-SHIFT_MAX_DEGREE = 2000
 
 
 class SymbolError(ValueError):
@@ -84,9 +81,6 @@ class MoebiusSymbol:
     def __call__(self, z):
         return (self.c + self.gamma * z) / (1 - self.beta * z)
 
-    def taylor(self, n):
-        return hardy.moebius_taylor(self.c, self.gamma, self.beta, n)
-
     def flags(self):
         return validate_symbol(self.c, self.gamma, self.beta)
 
@@ -104,13 +98,6 @@ class MoebiusSymbol:
             gamma=complex(d["gamma"]["re"], d["gamma"]["im"]),
             beta=complex(d["beta"]["re"], d["beta"]["im"]),
         )
-
-    def dumps(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, s):
-        return cls.from_json_dict(json.loads(s))
 
 
 @dataclass(frozen=True)
@@ -232,16 +219,3 @@ def hb_cauchy_norm(pair, w):
         raise ValueError(f"|w| = {abs(w)} must be < 1")
     return (1 + abs(pair.smirnov_quotient(w)) ** 2) / (1 - abs(w) ** 2)
 
-
-def shifted_symbol(b):
-    """Truncated Taylor coefficients of S*b (the symbol with its constant dropped).
-
-    Truncation degree M is chosen so the geometric coefficient tail
-    |beta|^M is at most SHIFT_TAIL, with M <= SHIFT_MAX_DEGREE.
-    """
-    if abs(b.beta) < 1e-300:
-        m = 2
-    else:
-        m = math.ceil(math.log(SHIFT_TAIL) / math.log(abs(b.beta)))
-        m = max(min(SHIFT_MAX_DEGREE, m), 2)
-    return hardy.normalize(b.taylor(m + 1)[1:])

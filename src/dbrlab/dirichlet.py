@@ -9,7 +9,6 @@ Boundary atoms are fully supported: inputs are polynomials, so the
 difference quotient always exists.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,13 +64,6 @@ class PointMassMeasure:
                 (complex(a["re"], a["im"]), a["weight"]) for a in d["atoms"]
             )
         )
-
-    def dumps(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, s):
-        return cls.from_json_dict(json.loads(s))
 
 
 @dataclass(frozen=True)

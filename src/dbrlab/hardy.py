@@ -64,20 +64,3 @@ def difference_quotient(f, zeta):
         q[k] = f[k + 1] + zeta * q[k + 1]
     return q
 
-
-def moebius_taylor(c, gamma, beta, n):
-    """First n Taylor coefficients of (c + gamma*z)/(1 - beta*z).
-
-    coeff_0 = c and coeff_k = beta^(k-1) (c*beta + gamma) for k >= 1.
-    Requires |beta| < 1 so the coefficients are square summable.
-    """
-    if abs(beta) >= 1:
-        raise ValueError(f"|beta| = {abs(beta)} must be < 1")
-    n = int(n)
-    if n < 1:
-        raise ValueError("need at least one coefficient")
-    coeffs = np.empty(n, dtype=complex)
-    coeffs[0] = c
-    if n > 1:
-        coeffs[1:] = (c * beta + gamma) * np.asarray(beta, dtype=complex) ** np.arange(n - 1)
-    return coeffs

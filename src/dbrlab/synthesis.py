@@ -72,23 +72,25 @@ def synthesized_pair(alpha, lam):
     return pythagorean_mate(synthesize_symbol(alpha, lam).symbol())
 
 
-def verify_norm_equality(alpha, lam, n, tol=1e-9):
-    """Entrywise comparison of the D(mu) and H(b) monomial Gram matrices.
-
-    tol is relative: the largest entry deviation is compared with
-    tol * max(1, max|G_dmu|), because the Gram entries, and with them the
-    roundoff of both routes, grow like |alpha|^2 * N.
-    """
+def _equality_grams(alpha, lam, n):
+    """The D(mu) and H(b) monomial Grams of size n >= 2 for mu = |alpha|^2 delta_lam."""
     n = int(n)
     if n < 2:
         raise ValueError("need Gram size >= 2")
+    pair = synthesized_pair(alpha, lam)
+    return dmu_gram(point_mass(alpha, lam), n).entries, hb_gram(pair, n).entries
+
+
+def _equality_certificate(alpha, lam, G, G_b, tol):
+    """Norm-equality certificate of the D(mu) Gram G against the H(b) Gram G_b.
+
+    G is overwritten with G - G_b, so the comparison needs no third N x N array.
+    """
     alpha = complex(alpha)
     lam = complex(lam)
-    pair = synthesized_pair(alpha, lam)
-    G = dmu_gram(point_mass(alpha, lam), n).entries
     # a Gram matrix's largest entry is on its diagonal: |G_ij|^2 <= G_ii G_jj
     tol = tol * max(1.0, float(G.diagonal().real.max()))
-    G -= hb_gram(pair, n).entries
+    G -= G_b
     dev = float(np.abs(G).max())
     return Certificate(
         kind="norm-equality",
@@ -98,9 +100,19 @@ def verify_norm_equality(alpha, lam, n, tol=1e-9):
         context={
             "alpha": {"re": alpha.real, "im": alpha.imag},
             "lambda": {"re": lam.real, "im": lam.imag},
-            "N": n,
+            "N": len(G),
         },
     )
+
+
+def verify_norm_equality(alpha, lam, n, tol=1e-9):
+    """Entrywise comparison of the D(mu) and H(b) monomial Gram matrices.
+
+    tol is relative: the largest entry deviation is compared with
+    tol * max(1, max|G_dmu|), because the Gram entries, and with them the
+    roundoff of both routes, grow like |alpha|^2 * N.
+    """
+    return _equality_certificate(alpha, lam, *_equality_grams(alpha, lam, n), tol)
 
 
 def corollary_params(beta, gamma, tol=1e-10):

@@ -8,20 +8,23 @@ import numpy as np
 import pytest
 
 import dbrlab
+from dbrlab import cli, synthesis
 from dbrlab.cli import gram_from_csv_text, gram_to_csv_text, main, parse_complex
 from dbrlab.debranges import MoebiusSymbol
-from dbrlab.dirichlet import PointMassMeasure, moment_matrix
+from dbrlab.dirichlet import PointMassMeasure, dmu_gram, moment_matrix
+from dbrlab.debranges import hb_gram
+from dbrlab.synthesis import point_mass, synthesized_pair
 
 
 def write_measure(tmp_path, mu, name="mu.json"):
     path = tmp_path / name
-    path.write_text(mu.dumps())
+    path.write_text(json.dumps(mu.to_json_dict(), sort_keys=True))
     return str(path)
 
 
 def write_symbol(tmp_path, b, name="b.json"):
     path = tmp_path / name
-    path.write_text(b.dumps())
+    path.write_text(json.dumps(b.to_json_dict(), sort_keys=True))
     return str(path)
 
 
@@ -126,6 +129,24 @@ class TestVerifyEquality:
         assert Gd.shape == (24, 24)
         assert np.abs(Gd - Gb).max() <= 1e-9
 
+    def test_out_builds_each_gram_once(self, tmp_path, monkeypatch):
+        calls = {"dmu_gram": 0, "hb_gram": 0}
+        for name, real in (("dmu_gram", dmu_gram), ("hb_gram", hb_gram)):
+            def counted(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+            for mod in (cli, synthesis):
+                monkeypatch.setattr(mod, name, counted, raising=False)
+        prefix = tmp_path / "eq"
+        args = ["verify-equality", "--alpha", "1", "--lambda", "0.5", "--size", "24"]
+        assert main(args + ["--out", str(prefix)]) == 0
+        assert calls == {"dmu_gram": 1, "hb_gram": 1}
+        # the CSVs hold the Grams themselves, not the certificate's difference
+        want = dmu_gram(point_mass(1, 0.5), 24).entries
+        assert prefix.with_suffix(".dmu.csv").read_text() == gram_to_csv_text(want)
+        want = hb_gram(synthesized_pair(1, 0.5), 24).entries
+        assert prefix.with_suffix(".hb.csv").read_text() == gram_to_csv_text(want)
+
     def test_measure_file(self, tmp_path, capsys):
         path = write_measure(tmp_path, PointMassMeasure.single(0.5, 1.0))
         assert main(["verify-equality", "--measure", path, "--size", "12"]) == 0
@@ -154,6 +175,12 @@ class TestCertify:
     def test_empty_measure(self, tmp_path, capsys):
         path = write_measure(tmp_path, PointMassMeasure.empty())
         assert main(["certify", "--measure", path, "--size", "8"]) == 0
+
+    def test_n_max_zero_keeps_moment_and_rank(self, tmp_path, capsys):
+        path = write_measure(tmp_path, PointMassMeasure.single(0.5, 1.0))
+        assert main(["certify", "--measure", path, "--size", "8", "--n-max", "0"]) == 0
+        certs = json.loads(capsys.readouterr().out)["certificates"]
+        assert [c["kind"] for c in certs] == ["moment-identity", "defect-rank"]
 
     def test_nsd_context_names_the_order(self, tmp_path, capsys):
         mu = PointMassMeasure(atoms=((0.5, 1.0), (-0.3j, 0.5)))

@@ -1,3 +1,5 @@
+import json
+
 import mpmath
 import numpy as np
 import pytest
@@ -11,12 +13,11 @@ from dbrlab.debranges import (
     hb_gram,
     hb_inner,
     pythagorean_mate,
-    shifted_symbol,
     validate_symbol,
 )
 from dbrlab.dirichlet import dmu_gram, PointMassMeasure, truncated_cauchy_kernel
 
-from oracles import coanalytic_toeplitz_apply, mate_taylor, validate_gram
+from oracles import coanalytic_toeplitz_apply, mate_taylor, symbol_taylor, validate_gram
 
 SQ2 = 1 / np.sqrt(2)
 # single boundary-free reference pair used throughout: b(z) = z/sqrt(2)
@@ -51,7 +52,8 @@ class TestValidateSymbol:
 
     def test_json_roundtrip(self):
         b = MoebiusSymbol(0.1 + 0.2j, 0.3, -0.4j)
-        assert MoebiusSymbol.loads(b.dumps()) == b
+        text = json.dumps(b.to_json_dict(), sort_keys=True)
+        assert MoebiusSymbol.from_json_dict(json.loads(text)) == b
 
 
 class TestPythagoreanMate:
@@ -140,7 +142,7 @@ class TestFplus:
             # independent dense Toeplitz application of both sides
             n = deg + 1
             lhs = coanalytic_toeplitz_apply(mate_taylor(pair, n), np.pad(fp, (0, n - len(fp))))
-            rhs = coanalytic_toeplitz_apply(pair.b.taylor(n), f)
+            rhs = coanalytic_toeplitz_apply(symbol_taylor(pair.b, n), f)
             assert np.abs(lhs - rhs).max() <= 1e-12 * np.linalg.norm(f)
 
 
@@ -194,7 +196,9 @@ class TestHbGram:
         N = 10
         G = hb_gram(pair, N).entries
         D = G[1:, 1:] - G[:-1, :-1]
-        sb = shifted_symbol(pair.b)
+        # S*b = (b - b(0))/z, truncated where |beta|^k drops below 1e-17
+        sb = symbol_taylor(pair.b, 40)[1:]
+        assert abs(pair.b.beta) ** 39 <= 1e-17
         v = np.array([hb_inner(hardy.monomial(n), sb, pair) for n in range(N - 1)])
         R = np.outer(v, v.conj()) / pair.rho**2
         assert np.abs(D - R).max() <= 1e-8 * max(1.0, np.abs(D).max())
@@ -226,13 +230,3 @@ class TestHbCauchyNorm:
             direct = hb_inner(k, k, pair).real
             assert direct == pytest.approx(hb_cauchy_norm(pair, w), rel=1e-8)
 
-
-class TestShiftedSymbol:
-    def test_beta_zero(self):
-        sb = shifted_symbol(MoebiusSymbol(0, SQ2, 0))
-        assert np.allclose(sb, [SQ2])
-
-    def test_tail_below_threshold(self):
-        b = MoebiusSymbol(0, A_HALF, B_HALF)
-        sb = shifted_symbol(b)
-        assert abs(b.beta) ** len(sb) <= 1e-15

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dbrlab.debranges import MoebiusSymbol, pythagorean_mate
+from dbrlab.debranges import MoebiusSymbol, hb_inner, pythagorean_mate, validate_symbol
 from dbrlab.dirichlet import PointMassMeasure, dmu_gram, moment_matrix
 from dbrlab.moments import recover_atoms
 from dbrlab.operators import (
@@ -11,6 +11,7 @@ from dbrlab.operators import (
     certify_nsd,
     defect_matrix,
     hyperexpansive_form,
+    hyperexpansive_forms,
     numerical_rank,
     rank1_defect_check,
     ratio_identity_check,
@@ -18,7 +19,10 @@ from dbrlab.operators import (
 from dbrlab.synthesis import synthesized_pair
 from dbrlab.debranges import hb_gram
 
+from oracles import binomial_form, symbol_taylor
 from test_dirichlet import random_measure
+
+EPS = np.finfo(float).eps
 
 
 class TestHyperexpansiveForm:
@@ -40,6 +44,25 @@ class TestHyperexpansiveForm:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             hyperexpansive_form(np.eye(3), 3)
+
+    def test_rejects_order_zero(self):
+        with pytest.raises(ValueError):
+            hyperexpansive_form(np.eye(3), 0)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 4, 9])
+    def test_forms_yield_one_array_per_order(self, n_max):
+        G = dmu_gram(PointMassMeasure.single(0.5j, 1.0), 10)
+        shapes = [B.shape for B in hyperexpansive_forms(G, n_max)]
+        assert shapes == [(10 - n, 10 - n) for n in range(1, n_max + 1)]
+
+    def test_forms_reject_order_beyond_gram(self):
+        with pytest.raises(ValueError):
+            list(hyperexpansive_forms(np.eye(4), 4))
+
+    def test_form_is_last_of_forms(self):
+        G = dmu_gram(PointMassMeasure(atoms=((0.5, 1.0), (-0.3 + 0.4j, 0.5))), 12)
+        for n, B in enumerate(hyperexpansive_forms(G, 11), 1):
+            assert np.array_equal(hyperexpansive_form(G, n), B)
 
 
 class TestCertifyNsd:
@@ -291,6 +314,25 @@ class TestRank1Defect:
         cert = rank1_defect_check(hb_gram(pair, 24), pair)
         assert cert.passed and cert.witness <= 1e-8
 
+    def test_constant_symbol_degenerate(self):
+        # c beta + gamma = 0 exactly: b = (0.5 - 0.2 z)/(1 - 0.4 z) = 0.5, S*b = 0
+        pair = pythagorean_mate(MoebiusSymbol(0.5, -0.2, 0.4))
+        cert = rank1_defect_check(hb_gram(pair, 8), pair)
+        assert cert.passed and cert.context["degenerate"]
+
+    def test_reference_matches_truncated_series(self):
+        # the closed form rho^-2 |c beta + gamma|^2 ||k_conj(beta)||_b^2 against
+        # the H(b) norm of the Taylor series of S*b, cut where |beta|^k < 1e-17
+        rng = np.random.default_rng(36)
+        for _ in range(12):
+            c, gamma, beta = np.exp(2j * np.pi * rng.uniform(size=3)) * rng.uniform(0.1, 0.9, 3)
+            pair = pythagorean_mate(valid_symbol(c, gamma, beta, rng.uniform(0.1, 0.95)))
+            sb = symbol_taylor(pair.b, 400)[1:]
+            want = hb_inner(sb, sb, pair).real / pair.rho**2
+            cert = rank1_defect_check(hb_gram(pair, 256), pair)
+            assert cert.passed
+            assert cert.context["reference"] == pytest.approx(want, rel=1e-12)
+
 
 # ---- NSD verdict: one Cholesky factorization against the top eigenvalue ----
 
@@ -330,3 +372,54 @@ def test_certify_nsd_matches_top_eigenvalue(atoms, N, order, log_tol, offset):
         assert cert.context["witness"] == "eigenvalue"
         assert cert.witness == top
 
+
+# ---- forms by Pascal's rule against closed forms and the binomial sum ----
+
+@settings(max_examples=200, deadline=None)
+@given(atoms=st.lists(atom, min_size=0, max_size=4), N=st.integers(2, 48))
+def test_dmu_forms_are_weighted_moment_matrices(atoms, N):
+    # B_n = -(moment matrix of the weights w (1 - |z|^2)^(n-1))^T
+    locs = [r * np.exp(1j * t) for r, t, _ in atoms]
+    assume(len(set(locs)) == len(locs))
+    mu = PointMassMeasure(atoms=tuple(zip(locs, (w for _, _, w in atoms))))
+    G = dmu_gram(mu, N).entries
+    scale = N * EPS * np.abs(G).max()
+    for n, B in enumerate(hyperexpansive_forms(G, N - 1), 1):
+        m = N - n
+        want = np.zeros((m, m), dtype=complex)
+        for z, w in mu.atoms:
+            p = z ** np.arange(m)
+            want -= w * (1 - abs(z) ** 2) ** (n - 1) * np.outer(p, p.conj()).T
+        assert np.abs(B - want).max() <= 2**n * scale
+
+
+def valid_symbol(c, gamma, beta, fraction):
+    """(c, gamma) scaled to `fraction` of the largest scale with ||b||_inf <= 1."""
+    lo, hi = 0.0, 1.0 / np.hypot(abs(c), abs(gamma))
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if validate_symbol(mid * c, mid * gamma, beta).valid else (lo, mid)
+    return MoebiusSymbol(fraction * lo * c, fraction * lo * gamma, beta)
+
+
+unit = st.tuples(st.floats(0.1, 1), st.floats(0, 2 * np.pi)).map(
+    lambda rt: rt[0] * np.exp(1j * rt[1])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    c=unit,
+    gamma=unit,
+    beta=st.tuples(st.floats(0, 0.9), st.floats(0, 2 * np.pi)).map(
+        lambda rt: rt[0] * np.exp(1j * rt[1])
+    ),
+    fraction=st.floats(0.05, 0.95),
+    N=st.integers(2, 48),
+)
+def test_hb_forms_match_binomial_sums(c, gamma, beta, fraction, N):
+    pair = pythagorean_mate(valid_symbol(c, gamma, beta, fraction))
+    G = hb_gram(pair, N).entries
+    scale = N * EPS * np.abs(G).max()
+    for n, B in enumerate(hyperexpansive_forms(G, N - 1), 1):
+        assert np.abs(B - binomial_form(G, n)).max() <= 2**n * scale
