@@ -256,6 +256,21 @@ def cmd_kernel_norms(args):
     return 0 if all(c.passed for c in certs) else 1
 
 
+def _at_least(lo):
+    """argparse type: an int >= lo, so an out-of-range count exits 2."""
+
+    def parse(s):
+        try:
+            value = int(s)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(f"invalid int value: {s!r}") from e
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return parse
+
+
 def _parse_tols(pairs):
     out = {}
     for item in pairs or []:
@@ -295,14 +310,14 @@ def build_parser():
     g.add_argument("--measure", help="single-atom measure JSON file")
     g.add_argument("--alpha", type=parse_complex)
     p.add_argument("--lambda", dest="lam", type=parse_complex, default=0j)
-    p.add_argument("--size", type=int, default=24, metavar="N")
+    p.add_argument("--size", type=_at_least(2), default=24, metavar="N")
     p.add_argument("--out", help="output prefix (.json + two Gram CSVs)")
     p.set_defaults(func=cmd_verify_equality)
 
     p = sub.add_parser("certify", help="hyperexpansivity and defect certificates")
     p.add_argument("--measure", required=True, help="measure JSON file")
-    p.add_argument("--size", type=int, default=24, metavar="N")
-    p.add_argument("--n-max", type=int, default=5)
+    p.add_argument("--size", type=_at_least(2), default=24, metavar="N")
+    p.add_argument("--n-max", type=_at_least(0), default=5)
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_certify)
 
@@ -311,14 +326,14 @@ def build_parser():
     g.add_argument("--moments", help="moment matrix CSV (re,im cell pairs)")
     g.add_argument("--measure", help="measure JSON file (forward oracle)")
     p.add_argument("--atoms", default="auto", help="atom count or 'auto'")
-    p.add_argument("--size", type=int, default=24, metavar="N")
+    p.add_argument("--size", type=_at_least(1), default=24, metavar="N")
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("kernel-norms", help="closed-form vs truncated kernels")
     p.add_argument("--alpha", type=parse_complex, required=True)
     p.add_argument("--lambda", dest="lam", type=parse_complex, required=True)
-    p.add_argument("--points", type=int, default=10)
+    p.add_argument("--points", type=_at_least(0), default=10)
     p.add_argument("--degree", type=int, default=300)
     p.add_argument("--radius", type=float, default=0.8)
     p.add_argument("--seed", type=int, default=0)
@@ -335,6 +350,8 @@ def main(argv=None):
         args.tol_overrides = _parse_tols(args.tols)
     except argparse.ArgumentTypeError as e:
         parser.error(str(e))
+    if args.command == "certify" and args.n_max > args.size - 1:
+        parser.error(f"--n-max {args.n_max} exceeds --size - 1 = {args.size - 1}")
     return args.func(args)
 
 

@@ -127,11 +127,11 @@ def moment_matrix(mu, n):
     n = int(n)
     if n < 1:
         raise ValueError("moment matrix size must be >= 1")
-    M = np.zeros((n, n), dtype=complex)
-    for z, w in mu.atoms:
-        p = np.asarray(z, dtype=complex) ** np.arange(n)
-        M += w * np.outer(p, p.conj())
-    return M
+    z = np.array([z for z, _ in mu.atoms], dtype=complex)
+    w = np.array([w for _, w in mu.atoms], dtype=float)
+    # V[i][k] = z_k^i, the n x k Vandermonde: M = V diag(w) V^H, one product
+    V = z ** np.arange(n)[:, np.newaxis]
+    return (V * w) @ V.conj().T
 
 
 def dmu_cauchy_norm(alpha, lam, w):

@@ -21,10 +21,15 @@ RANK_TOL = 1e-8
 ZERO_SIGMA = 1e-300
 # numerical_rank decides ranks up to SKETCH_COLS from a sketch, larger ones by SVD
 SKETCH_COLS = 8
-# c in the sketch's rounding allowance c * N * eps * ||M||_F: it covers the
-# Householder Q's loss of orthogonality, the products forming S and E and
-# the p x p eigvalsh (Higham 2002, ch. 3 and 19), with room
-SKETCH_ROUNDING = 32
+# c in the rounding allowance c * p * (p + 2) * eps * (1 + delta) * ||S||_F of a
+# p-column sketch: the two length-p complex products that form Q S Q^H
+# (at most sqrt(2) p (p + 2) eps, Higham 2002, sec. 3.5-3.6, with
+# ||Q||_F^2 <= p (1 + delta)) and the backward error of the p x p eigvalsh
+# of S (Householder tridiagonalization, ch. 19), with room
+SKETCH_ROUNDING = 3
+# rows of the sketch residual A - Q S Q^H formed at a time, so that no
+# N x N temporary is allocated
+RESIDUAL_ROWS = 64
 
 
 def _entries(G):
@@ -90,35 +95,58 @@ def hyperexpansive_form(G, n):
 def certify_nsd(B, tol=NSD_TOL, order=None):
     """Certify a Hermitian form negative semidefinite: its top eigenvalue is <= tol.
 
-    The Hermitian part H decides by one Cholesky factorization of tol*I - H,
-    which succeeds only when every eigenvalue of H lies below tol (Rump,
-    "Verification of positive definiteness", BIT 2006). On PASS the witness
-    is max Re diag H, a Rayleigh-quotient lower bound on the top eigenvalue.
+    H is the Hermitian part of B. First the sketch of `_sketch_residual`
+    gives (Q, S, e, delta) in O(N^2) work; H - Q S Q^H is the Hermitian
+    part of B - Q S Q^H, whose 2-norm e bounds, so Weyl's inequality gives
+    lambda_max(H) <= lambda_max(Q S Q^H) + e, and by Ostrowski's theorem
+    lambda_max(Q S Q^H) <= max(lambda_max(S), 0) * ||Q||_2^2 with
+    ||Q||_2^2 <= 1 + delta. The certificate passes on the sketch route when
+    that bound, max(lambda_max(S), 0) * (1 + delta) + e, is <= tol; e covers
+    the rounding of the products, of the residual's norm and of the p x p
+    eigvalsh (SKETCH_ROUNDING). A low-rank form, as every form of an atomic
+    measure is, decides here.
+
+    When it does not (a full-rank or non-Hermitian form, a top eigenvalue
+    near tol, NaN or inf), the sketch is released and one Cholesky
+    factorization of tol*I - H decides: it succeeds only when every
+    eigenvalue of H lies below tol (Rump, "Verification of positive
+    definiteness", BIT 2006). On PASS, by either route, the witness is
+    max Re diag H, a Rayleigh-quotient lower bound on the top eigenvalue.
     When the factorization fails, eigvalsh(H) gives the top eigenvalue as
     the witness and the verdict top <= tol. context["witness"] names which
-    of the two, "diagonal" or "eigenvalue", was reported; order only labels
-    context["order"].
+    of the two, "diagonal" or "eigenvalue", was reported; context["route"]
+    names the deciding route, "sketch" or "cholesky", and context["bound"]
+    is the sketch's bound; order only labels context["order"].
     """
     A = np.asarray(B, dtype=complex)
-    C = np.conj(A.T)
-    C += A
-    C *= -0.5
-    C[np.diag_indices_from(C)] += tol
-    try:
-        np.linalg.cholesky(C)
-    except np.linalg.LinAlgError:
-        witness = float(np.linalg.eigvalsh((A + A.conj().T) / 2)[-1])
-        passed, source = witness <= tol, "eigenvalue"
-    else:
-        witness = float(A.diagonal().real.max()) if A.size else 0.0
-        passed, source = True, "diagonal"
-    return Certificate(
-        kind="nsd",
-        passed=passed,
-        witness=witness,
-        tolerance=tol,
-        context={"order": order, "size": int(A.shape[0]), "witness": source},
-    )
+    bound = _nsd_bound(A)
+    route = "sketch" if bound <= tol else "cholesky"
+    context = {"order": order, "size": int(A.shape[0]), "bound": bound, "route": route}
+    if route == "cholesky":
+        C = np.conj(A.T)
+        C += A
+        C *= -0.5
+        C[np.diag_indices_from(C)] += tol
+        try:
+            np.linalg.cholesky(C)
+        except np.linalg.LinAlgError:
+            del C
+            witness = float(np.linalg.eigvalsh((A + A.conj().T) / 2)[-1])
+            context["witness"] = "eigenvalue"
+            return Certificate("nsd", witness <= tol, witness, tol, context)
+    witness = float(A.diagonal().real.max()) if A.size else 0.0
+    context["witness"] = "diagonal"
+    return Certificate("nsd", True, witness, tol, context)
+
+
+def _nsd_bound(A):
+    """The sketch's bound max(lambda_max(S), 0) * (1 + delta) + e on the top
+    eigenvalue of the Hermitian part of A; its arrays die on return."""
+    _, S, e, delta = _sketch_residual(A, min(SKETCH_COLS, A.shape[0]))
+    if not np.isfinite(e):  # NaN or inf in A: no eigvalsh of S
+        return e
+    top = np.linalg.eigvalsh(S).max(initial=0.0)
+    return float(top * (1 + delta) + e)
 
 
 def defect_matrix(G):
@@ -144,29 +172,61 @@ def _start_block(n, k):
     return np.exp(2j * np.pi * phase).reshape(n, k)
 
 
-def _sketch(H, p):
+def _sketch(A, p):
     """(Q, S): p columns from `_start_block`, two subspace-iteration steps
-    on the Hermitian matrix H, each followed by a QR, and S = Q^H H Q."""
-    Q = _start_block(H.shape[0], p)
+    on A, each followed by a QR, and S the Hermitian part of Q^H A Q."""
+    Q = _start_block(A.shape[0], p)
     for _ in range(2):
-        Q, _ = np.linalg.qr(H @ Q)
-    S = Q.conj().T @ (H @ Q)
+        Q, _ = np.linalg.qr(A @ Q)
+    S = Q.conj().T @ (A @ Q)
     return Q, (S + S.conj().T) / 2
+
+
+def _sketch_residual(A, p):
+    """(Q, S, e, delta): the `_sketch` (Q, S) of the square A with p columns,
+    e >= ||A - Q S Q^H||_2 and delta >= ||Q^H Q - I||_2.
+
+    S is exactly Hermitian (its two triangles round alike), and
+    Q S Q^H - A is evaluated RESIDUAL_ROWS rows at a time, summing squared
+    norms, so no N x N array is allocated. e is that Frobenius norm, times
+    1 + (N + 2)^2 eps for the rounding of the sum of 2 N^2 squares and of
+    the subtraction, plus SKETCH_ROUNDING * p * (p + 2) * eps * (1 + delta)
+    * ||S||_F for the products and the p x p eigvalsh of S; its callers may
+    take eigvalsh(S) as exact. delta is ||fl(Q^H Q) - I||_F plus
+    2 (N + 2) p eps for that product (Higham 2002, sec. 3.5): it only
+    scales terms, so its N-dependence costs nothing.
+    """
+    N = A.shape[0]
+    eps = np.finfo(float).eps
+    Q, S = _sketch(A, p)
+    W = S @ Q.conj().T
+    squares = 0.0
+    for i in range(0, N, RESIDUAL_ROWS):
+        R = Q[i : i + RESIDUAL_ROWS] @ W
+        R -= A[i : i + RESIDUAL_ROWS]
+        squares += np.vdot(R, R).real
+    D = Q.conj().T @ Q
+    D[np.diag_indices_from(D)] -= 1
+    delta = float(np.linalg.norm(D)) + 2 * (N + 2) * p * eps
+    rounding = SKETCH_ROUNDING * p * (p + 2) * eps * (1 + delta) * np.linalg.norm(S)
+    e = float(np.sqrt(squares) * (1 + (N + 2) ** 2 * eps) + rounding)
+    return Q, S, e, delta
 
 
 def _sketch_rank(M, tau):
     """(count, Q, S): the count of numerical_rank, or None if undecided, from
-    the `_sketch` (Q, S) of SKETCH_COLS columns on the Hermitian part H of M.
+    the `_sketch_residual` (Q, S, e, delta) of M with SKETCH_COLS columns.
 
     Every singular value of M lies within e of the matching one of
-    Q S Q^H, which are |eigenvalues of S| padded with zeros (Weyl/Mirsky),
-    where e bounds ||M - Q S Q^H||_2 plus the rounding of the whole sketch.
-    sigma_1 is at least m = max |eig S|, a Rayleigh quotient of H, hence of
-    M. So tau * sigma_1 lies in [tau m, tau (m + e)], and the count is exact
-    when the padding zeros lie below it (e < tau m) and no |eig S| lies
-    within e of that interval. sigma_1 <= m + e also certifies a zero count
-    when m + e <= ZERO_SIGMA. An empty M has count 0 and a non-square one
-    no sketch: Q and S are then None.
+    Q S Q^H (Weyl/Mirsky). Those are |eigenvalues of S|, each scaled by a
+    factor in [1 - delta, 1 + delta] (Ostrowski), padded with zeros; so
+    every singular value of M lies within e' = e + delta * (m + e) of the
+    matching |eig S| or zero, m = max |eig S|. Hence sigma_1 lies in
+    [m - e', m + e'], tau * sigma_1 in [lo, hi] = [tau (m - e'), tau (m + e')],
+    and the count is exact when the padding zeros lie below it (e' < lo)
+    and no |eig S| lies within e' of that interval. sigma_1 <= m + e' also
+    certifies a zero count when m + e' <= ZERO_SIGMA. An empty M has count
+    0 and a non-square one no sketch: Q and S are then None.
     """
     if not 0 < tau < 1:
         raise ValueError("relative threshold must lie in (0, 1)")
@@ -175,20 +235,13 @@ def _sketch_rank(M, tau):
         return 0, None, None
     if M.shape[1] != N:
         return None, None, None
-    H = np.conjugate(M.T, order="C")
-    H += M
-    H *= 0.5
-    Q, S = _sketch(H, min(SKETCH_COLS, N))
-    # the residual overwrites H: one N x N temporary in all
-    E = np.matmul(Q @ S, Q.conj().T, out=H)
-    E -= M
-    rounding = SKETCH_ROUNDING * N * np.finfo(float).eps * np.linalg.norm(M)
-    e = float(np.linalg.norm(E) + rounding)
+    Q, S, e, delta = _sketch_residual(M, min(SKETCH_COLS, N))
     lam = np.abs(np.linalg.eigvalsh(S))
     m = float(lam.max())
+    e += delta * (m + e)
     if m + e <= ZERO_SIGMA:
         return 0, Q, S
-    lo, hi = tau * m, tau * (m + e)
+    lo, hi = tau * (m - e), tau * (m + e)
     if not (m > ZERO_SIGMA and e < lo) or np.any((lam >= lo - e) & (lam <= hi + e)):
         return None, Q, S
     return int(np.count_nonzero(lam > hi)), Q, S

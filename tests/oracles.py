@@ -86,3 +86,12 @@ def validate_gram(G, herm_tol=1e-12, psd_tol=1e-10):
     d = np.diag(G)
     if np.abs(d.imag).max() > herm_tol * scale or d.real.min() < 1 - herm_tol * scale:
         raise ValueError("Gram diagonal must be real and >= 1")
+
+
+def moment_matrix_outer(mu, n):
+    """M = sum_k w_k p_k p_k^H, p_k = (z_k^i)_i, one outer product per atom."""
+    M = np.zeros((n, n), dtype=complex)
+    for z, w in mu.atoms:
+        p = np.asarray(z, dtype=complex) ** np.arange(n)
+        M += w * np.outer(p, p.conj())
+    return M

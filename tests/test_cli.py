@@ -39,19 +39,46 @@ def test_import_loads_no_scipy():
 
 
 def test_recover_loads_no_numpy_random(tmp_path):
-    # the rank sketch and the recovery basis start from SplitMix64 phases,
-    # not numpy.random (~13 ms and ~6 MB more per CLI call)
+    # the rank sketch, the NSD sketch and the recovery basis start from
+    # SplitMix64 phases, not numpy.random (~13 ms and ~6 MB more per CLI call);
+    # neither command may pull in scipy
     env = dict(os.environ, PYTHONPATH=str(Path(dbrlab.__file__).parents[1]))
     path = write_measure(tmp_path, PointMassMeasure(atoms=((0.5, 1.0), (0.3 + 0.4j, 2.0))))
     code = (
         "import sys; from dbrlab.cli import main; "
-        "code = main(['recover', '--measure', sys.argv[1], '--size', '8']); "
-        "print(code, 'numpy.random' in sys.modules)"
+        "code = main(sys.argv[1:]); "
+        "print(code, 'numpy.random' in sys.modules, "
+        "any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code, path], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip().splitlines()[-1] == "0 False"
+    for argv in (
+        ["recover", "--measure", path, "--size", "8"],
+        ["certify", "--measure", path, "--size", "16", "--n-max", "5"],
+    ):
+        out = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip().splitlines()[-1] == "0 False False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--measure", "{mu}", "--size", "4", "--n-max", "5"],
+        ["certify", "--measure", "{mu}", "--size", "0"],
+        ["certify", "--measure", "{mu}", "--size", "1", "--n-max", "0"],
+        ["certify", "--measure", "{mu}", "--n-max", "-1"],
+        ["recover", "--measure", "{mu}", "--size", "0"],
+        ["verify-equality", "--alpha", "1", "--size", "1"],
+        ["kernel-norms", "--alpha", "1", "--lambda", "0.5", "--points", "-1"],
+    ],
+)
+def test_out_of_range_input_exits_2(tmp_path, capsys, argv):
+    mu = write_measure(tmp_path, PointMassMeasure.single(0.5, 1.0))
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(mu=mu) for a in argv])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 class TestParseComplex:
@@ -189,6 +216,16 @@ class TestCertify:
         certs = json.loads(capsys.readouterr().out)["certificates"]
         orders = [c["context"]["order"] for c in certs if c["kind"] == "nsd"]
         assert orders == list(range(1, 8))
+
+    def test_nsd_context_names_the_route(self, tmp_path, capsys):
+        mu = PointMassMeasure(atoms=((0.5, 1.0), (-0.3j, 0.5)))
+        path = write_measure(tmp_path, mu)
+        assert main(["certify", "--measure", path, "--size", "16", "--n-max", "5"]) == 0
+        certs = json.loads(capsys.readouterr().out)["certificates"]
+        for c in (c for c in certs if c["kind"] == "nsd"):
+            assert c["context"]["route"] == "sketch"
+            assert c["context"]["bound"] <= c["tolerance"]
+            assert c["context"]["witness"] == "diagonal"
 
 
 class TestRecover:

@@ -14,7 +14,7 @@ from dbrlab.dirichlet import (
     truncated_cauchy_kernel,
 )
 
-from oracles import validate_gram
+from oracles import moment_matrix_outer, validate_gram
 
 
 def random_measure(rng, max_atoms=4, boundary_ok=True):
@@ -156,6 +156,20 @@ class TestMomentMatrix:
         M = moment_matrix(mu, 8)
         ranks = np.linalg.matrix_rank(M, tol=1e-10)
         assert ranks == len(mu)
+
+    def test_matches_outer_product_sum(self):
+        # one Vandermonde product against one outer product per atom: each entry
+        # sums the same k terms of modulus <= w_k, each route with a complex
+        # product, a real scaling and k - 1 additions, so within (k + 4) eps sum(w)
+        rng = np.random.default_rng(16)
+        eps = np.finfo(float).eps
+        for _ in range(20):
+            mu = random_measure(rng, max_atoms=6)
+            n = int(rng.integers(1, 40))
+            total = sum(w for _, w in mu.atoms)
+            got, want = moment_matrix(mu, n), moment_matrix_outer(mu, n)
+            assert got.shape == want.shape == (n, n)
+            assert np.abs(got - want).max() <= (len(mu) + 4) * eps * total
 
 
 class TestDmuCauchyNorm:

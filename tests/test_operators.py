@@ -1,3 +1,6 @@
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +11,7 @@ from dbrlab.dirichlet import PointMassMeasure, dmu_gram, moment_matrix
 from dbrlab.moments import recover_atoms
 from dbrlab.operators import (
     SKETCH_COLS,
+    _sketch_residual,
     certify_nsd,
     defect_matrix,
     hyperexpansive_form,
@@ -185,8 +189,9 @@ class TestSketchRank:
         assert svds == [(40, 40)]
 
     def test_margin_below_rounding_goes_to_svd(self, monkeypatch):
-        # sigma_2 clears tau * sigma_1 by 1e-13, inside the sketch's rounding
-        # allowance (32 * 64 * eps ~ 4.5e-13) though far above its real error
+        # sigma_2 clears tau * sigma_1 by 1e-13, inside the sketch's allowance
+        # for the loss of orthogonality of Q (2 * 66 * 8 * eps ~ 2.3e-13 of
+        # sigma_1) though far above its real error
         M = np.diag([1.0, 1e-8 + 1e-13] + [0.0] * 62)
         svds = spy(monkeypatch, "svd")
         assert numerical_rank(M, 1e-8) == 2
@@ -371,6 +376,144 @@ def test_certify_nsd_matches_top_eigenvalue(atoms, N, order, log_tol, offset):
     else:
         assert cert.context["witness"] == "eigenvalue"
         assert cert.witness == top
+
+
+def peak_bytes(f, *args):
+    """(result, peak bytes traced while f runs, above what was allocated before)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def three_atom_gram(N):
+    mu = PointMassMeasure(atoms=((0.5, 1.0), (-0.3 + 0.4j, 0.5), (0.2j - 0.6, 0.8)))
+    return dmu_gram(mu, N)
+
+
+class TestSketchNsd:
+    def test_low_rank_forms_need_no_cholesky(self, monkeypatch):
+        G = three_atom_gram(256)
+        chol = spy(monkeypatch, "cholesky")
+        for n, B in enumerate(hyperexpansive_forms(G, 5), 1):
+            cert = certify_nsd(B, order=n)
+            assert cert.passed and cert.context["route"] == "sketch"
+            assert 0 <= cert.context["bound"] <= cert.tolerance
+            assert cert.context["witness"] == "diagonal"
+        assert chol == []
+
+    def test_negated_weights_fail_by_cholesky(self):
+        # 2I - G negates every weight: the order-1 form is the moment matrix
+        # transposed, PSD with top eigenvalue >= the total weight 2.3
+        G = three_atom_gram(64).entries
+        cert = certify_nsd(hyperexpansive_form(2 * np.eye(64) - G, 1))
+        assert not cert.passed and cert.witness >= 2.3
+        assert cert.context["route"] == "cholesky"
+        assert cert.context["witness"] == "eigenvalue"
+        assert cert.context["bound"] >= cert.witness
+
+    def test_positive_direction_outside_sketch_fails(self):
+        # eight eigenvalues -1 fill the sketch, so S is negative definite; only
+        # the residual e sees the ninth eigenvalue, 1e-3
+        A = np.diag([-1.0] * SKETCH_COLS + [1e-3] + [0.0] * 31).astype(complex)
+        cert = certify_nsd(A)
+        assert not cert.passed and cert.witness == pytest.approx(1e-3)
+        assert cert.context["route"] == "cholesky"
+
+    def test_sketch_route_allocates_less_than_one_form(self):
+        B = next(hyperexpansive_forms(three_atom_gram(513), 1))
+        N = B.shape[0]
+        cert, peak = peak_bytes(certify_nsd, B)
+        assert cert.passed and cert.context["route"] == "sketch"
+        assert peak < N * N * 16
+
+    def test_rank_sketch_allocates_less_than_one_defect(self):
+        D = defect_matrix(three_atom_gram(513))
+        N = D.shape[0]
+        rank, peak = peak_bytes(numerical_rank, D)
+        assert rank == 3
+        assert peak < N * N * 16
+
+    def test_cholesky_route_holds_no_sketch_array(self):
+        # tol*I - H, then np.linalg.cholesky's copy of it and the factor: three
+        # N x N arrays at the peak, none left over from the sketch
+        G = three_atom_gram(513).entries
+        A = hyperexpansive_form(2 * np.eye(513) - G, 1)
+        N = A.shape[0]
+        cert, peak = peak_bytes(certify_nsd, A)
+        assert not cert.passed and cert.context["route"] == "cholesky"
+        assert peak < 3.5 * N * N * 16
+
+
+def exact_residual(A, Q, S):
+    """||A - Q S Q^H||_F and ||Q^H Q - I||_F of the given floats, at 40 digits."""
+    with mpmath.workdps(40):
+        A, Q, S = (mpmath.matrix(X.tolist()) for X in (A, Q, S))
+        QH = Q.transpose_conj()
+        E = A - Q * S * QH
+        D = QH * Q - mpmath.eye(Q.cols)
+        return tuple(
+            float(mpmath.sqrt(mpmath.fsum(abs(x) ** 2 for x in X))) for X in (E, D)
+        )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    atoms=st.lists(atom, min_size=0, max_size=4),
+    N=st.integers(1, 14),
+    order=st.integers(0, 3),
+)
+def test_sketch_residual_bounds_the_exact_residual(atoms, N, order):
+    # e and delta bound their exact values for the computed Q and S: for a
+    # form of rank <= p the residual is all roundoff, so the rounding terms
+    # must carry the bound
+    locs = [r * np.exp(1j * t) for r, t, _ in atoms]
+    assume(len(set(locs)) == len(locs))
+    mu = PointMassMeasure(atoms=tuple(zip(locs, (w for _, _, w in atoms))))
+    G = dmu_gram(mu, N + order)
+    A = defect_matrix(dmu_gram(mu, N + 1)) if order == 0 else hyperexpansive_form(G, order)
+    Q, S, e, delta = _sketch_residual(A, min(SKETCH_COLS, N))
+    residual, drift = exact_residual(A, Q, S)
+    assert residual <= e
+    assert drift <= delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    atoms=st.lists(atom, min_size=0, max_size=3),
+    N=st.integers(2, 200),
+    order=st.integers(1, 5),
+    offset=st.floats(-1, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certify_nsd_with_a_rank_one_bump(atoms, N, order, offset, seed):
+    # an NSD form plus delta v v^H, delta = tol * (1 + offset): low rank, so the
+    # sketch decides most cases and Cholesky the rest; verdicts against the top
+    # eigenvalue, outside a 1e-3 relative band around tol
+    locs = [r * np.exp(1j * t) for r, t, _ in atoms]
+    assume(len(set(locs)) == len(locs))
+    mu = PointMassMeasure(atoms=tuple(zip(locs, (w for _, _, w in atoms))))
+    order = min(order, N - 1)
+    tol = 1e-10
+    A = hyperexpansive_form(dmu_gram(mu, N), order)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(N - order) + 1j * rng.standard_normal(N - order)
+    v /= np.linalg.norm(v)
+    A = A + tol * (1 + offset) * np.outer(v, v.conj())
+    top = np.linalg.eigvalsh((A + A.conj().T) / 2)[-1]
+    cert = certify_nsd(A, tol)
+    if top > tol * (1 + 1e-3):
+        assert not cert.passed
+    if top < tol * (1 - 1e-3):
+        assert cert.passed
+    if cert.passed:
+        assert cert.witness <= top + 1e-3 * tol
+    assert cert.context["route"] in ("sketch", "cholesky")
+    assert (cert.context["route"] == "sketch") == (cert.context["bound"] <= tol)
 
 
 # ---- forms by Pascal's rule against closed forms and the binomial sum ----
