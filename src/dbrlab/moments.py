@@ -12,6 +12,7 @@ import numpy as np
 
 from .dirichlet import PointMassMeasure, dmu_gram
 from .operators import (
+    BLOCK_ROWS,
     RANK_TOL,
     SKETCH_COLS,
     Certificate,
@@ -78,7 +79,10 @@ def recover_atoms(M, k=None, rank_tol=RANK_TOL):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise RecoveryError("moment matrix must be square")
     N = M.shape[0]
-    H = (M + M.conj().T) / 2
+    # the Hermitian part in one N x N array, C-ordered like M
+    H = np.conj(M.T, order="C")
+    H += M
+    H *= 0.5
     rank, Q, S = _sketch_rank(H, rank_tol)
     if rank is None:
         rank = numerical_rank(H, rank_tol)
@@ -98,6 +102,7 @@ def recover_atoms(M, k=None, rank_tol=RANK_TOL):
 
     if k > SKETCH_COLS:
         Q, S = _sketch(H, k)
+    del H
     lam, W = np.linalg.eigh(S)
     U = Q @ W[:, np.argsort(-np.abs(lam))[:k]]
 
@@ -128,7 +133,14 @@ def recover_atoms(M, k=None, rank_tol=RANK_TOL):
     if np.any(weights <= WEIGHT_FLOOR):
         raise RecoveryError("recovered a nonpositive atom weight")
 
-    residual = float(np.linalg.norm(M - (V * weights) @ V.conj().T))
+    # ||M - V W V^H||_F, BLOCK_ROWS rows at a time, so no N x N temporary;
+    # joined by hypot, a single block keeps np.linalg.norm's value exactly
+    VW, VH = V * weights, V.conj().T
+    residual = 0.0
+    for i in range(0, N, BLOCK_ROWS):
+        R = VW[i : i + BLOCK_ROWS] @ VH
+        R -= M[i : i + BLOCK_ROWS]
+        residual = float(np.hypot(residual, np.linalg.norm(R)))
     condition = float(np.linalg.cond(V))
     measure = PointMassMeasure(atoms=tuple(zip(locs, weights)))
     return RecoveryResult(measure=measure, residual=residual, condition=condition)

@@ -27,9 +27,10 @@ SKETCH_COLS = 8
 # ||Q||_F^2 <= p (1 + delta)) and the backward error of the p x p eigvalsh
 # of S (Householder tridiagonalization, ch. 19), with room
 SKETCH_ROUNDING = 3
-# rows of the sketch residual A - Q S Q^H formed at a time, so that no
-# N x N temporary is allocated
-RESIDUAL_ROWS = 64
+# rows formed at a time by the blocked loops (the sketch residual, the
+# Pascal panels of the forms, the recovery residual), so that no N x N
+# temporary is allocated
+BLOCK_ROWS = 64
 
 
 def _entries(G):
@@ -81,15 +82,55 @@ def hyperexpansive_forms(G, n_max):
 
 def hyperexpansive_form(G, n):
     """Order-n form B_n, the compression of the order-n hyperexpansivity sum
-    of the shift to the monomials z^0 .. z^(N-1-n); see hyperexpansive_forms."""
+    of the shift to the monomials z^0 .. z^(N-1-n); see hyperexpansive_forms.
+
+    Built BLOCK_ROWS rows of B_n^T at a time by `_pascal_panels`, so the
+    only N x N array is the result; its entries are those of the n-th form
+    of hyperexpansive_forms, bit for bit, and it is returned as the
+    transpose of a C-ordered array, the layout that generator yields.
+    """
     A = _entries(G)
     N = A.shape[0]
     n = int(n)
     if not 1 <= n <= N - 1:
         raise ValueError(f"order {n} must satisfy 1 <= n <= {N - 1}")
-    for B in hyperexpansive_forms(A, n):
-        pass
-    return B
+    out = np.empty((N - n, N - n), dtype=A.dtype)
+    for i, k, P in _pascal_panels(A, n):
+        if k == n:
+            out[i : i + len(P)] = P
+    return out.T
+
+
+def _pascal_panels(A, n_max):
+    """Yield (i, n, P) for each panel of at most BLOCK_ROWS rows i, i + 1, ...
+    below N - n_max and for each order n = 1 .. n_max in turn: P holds those
+    rows of B_n^T, all N - n of its columns.
+
+    Pascal's rule commutes with transposition, so B_n^T is the n-th
+    iterated difference X -> X[:-1, :-1] - X[1:, 1:] of A itself, and its
+    rows i .. i + h - 1 need only the h + n contiguous rows of A from i on.
+    Each panel copies h + n_max such rows into one flat work array of row
+    length N, where X[a, b] - X[a + 1, b + 1] is entry t = a N + b minus
+    entry t + N + 1: each order is then one in-place subtraction of two
+    contiguous ranges, on the operands of the full forms, so its entries
+    are theirs bit for bit. Columns b >= N - n hold wrapped-around values
+    that P leaves out. P is a view of the work array, which the next order
+    overwrites: keep a copy of any panel needed later.
+    """
+    N = A.shape[0]
+    m = N - n_max
+    work = np.empty((min(BLOCK_ROWS, m) + n_max) * N, dtype=A.dtype)
+    for i in range(0, m, BLOCK_ROWS):
+        h = min(BLOCK_ROWS, m - i)
+        X = work[: (h + n_max) * N]
+        X2 = X.reshape(h + n_max, N)
+        X2[...] = A[i : i + h + n_max]
+        for n in range(1, n_max + 1):
+            # order n is valid on its first h + n_max - n rows; the last entry
+            # of those rows lies in a wrapped column and is left as it was
+            L = (h + n_max - n) * N - 1
+            np.subtract(X[:L], X[N + 1 : N + 1 + L], out=X[:L])
+            yield i, n, X2[:h, : N - n]
 
 
 def certify_nsd(B, tol=NSD_TOL, order=None):
@@ -106,8 +147,10 @@ def certify_nsd(B, tol=NSD_TOL, order=None):
     eigvalsh (SKETCH_ROUNDING). A low-rank form, as every form of an atomic
     measure is, decides here.
 
-    When it does not (a full-rank or non-Hermitian form, a top eigenvalue
-    near tol, NaN or inf), the sketch is released and one Cholesky
+    A form with a NaN or infinite entry raises ValueError: its bound is
+    non-finite, and no route can decide it. When the sketch does not decide
+    (a full-rank or non-Hermitian form, a top eigenvalue near tol, a bound
+    that overflows), the sketch is released and one Cholesky
     factorization of tol*I - H decides: it succeeds only when every
     eigenvalue of H lies below tol (Rump, "Verification of positive
     definiteness", BIT 2006). On PASS, by either route, the witness is
@@ -120,6 +163,8 @@ def certify_nsd(B, tol=NSD_TOL, order=None):
     """
     A = np.asarray(B, dtype=complex)
     bound = _nsd_bound(A)
+    if not np.isfinite(bound) and not np.isfinite(A).all():
+        raise ValueError("form has a NaN or infinite entry")
     route = "sketch" if bound <= tol else "cholesky"
     context = {"order": order, "size": int(A.shape[0]), "bound": bound, "route": route}
     if route == "cholesky":
@@ -187,7 +232,7 @@ def _sketch_residual(A, p):
     e >= ||A - Q S Q^H||_2 and delta >= ||Q^H Q - I||_2.
 
     S is exactly Hermitian (its two triangles round alike), and
-    Q S Q^H - A is evaluated RESIDUAL_ROWS rows at a time, summing squared
+    Q S Q^H - A is evaluated BLOCK_ROWS rows at a time, summing squared
     norms, so no N x N array is allocated. e is that Frobenius norm, times
     1 + (N + 2)^2 eps for the rounding of the sum of 2 N^2 squares and of
     the subtraction, plus SKETCH_ROUNDING * p * (p + 2) * eps * (1 + delta)
@@ -201,9 +246,9 @@ def _sketch_residual(A, p):
     Q, S = _sketch(A, p)
     W = S @ Q.conj().T
     squares = 0.0
-    for i in range(0, N, RESIDUAL_ROWS):
-        R = Q[i : i + RESIDUAL_ROWS] @ W
-        R -= A[i : i + RESIDUAL_ROWS]
+    for i in range(0, N, BLOCK_ROWS):
+        R = Q[i : i + BLOCK_ROWS] @ W
+        R -= A[i : i + BLOCK_ROWS]
         squares += np.vdot(R, R).real
     D = Q.conj().T @ Q
     D[np.diag_indices_from(D)] -= 1
@@ -268,7 +313,9 @@ def ratio_identity_check(G_b, pair, n_max, tol=1e-8):
 
     r = 1 - |beta - a'(0)/a(0)|^2 = 1 - |sigma/rho|^2 links every
     higher-order hyperexpansivity form of the shift on H(b) to the order-2
-    form. All forms are truncated to the largest common block size.
+    form. All forms are truncated to the largest common block size
+    m = N - n_max, and the norms of the differences are summed one
+    `_pascal_panels` panel at a time, so no full form is ever held.
     """
     n_max = int(n_max)
     if n_max < 3:
@@ -278,13 +325,19 @@ def ratio_identity_check(G_b, pair, n_max, tol=1e-8):
     if m < 1:
         raise ValueError(f"Gram size {A.shape[0]} too small for n_max = {n_max}")
     r = 1 - abs(pair.sigma / pair.rho) ** 2
-    worst = 0.0
-    for n, B in enumerate(hyperexpansive_forms(A, n_max), 1):
+    # squares[n]: ||B_n - r^(n-2) B_2||_F^2 for n >= 3 and ||B_2||_F^2, on the
+    # m x m block, summed one panel at a time
+    squares = np.zeros(n_max + 1)
+    for _, n, P in _pascal_panels(A, n_max):
         if n == 2:
-            B2 = B[:m, :m]
-            scale = max(1.0, float(np.linalg.norm(B2)))
+            B2 = P[:, :m].copy()
+            squares[2] += np.vdot(B2, B2).real
         elif n > 2:
-            worst = max(worst, float(np.linalg.norm(B[:m, :m] - r ** (n - 2) * B2)))
+            D = B2 * r ** (n - 2)
+            D -= P[:, :m]
+            squares[n] += np.vdot(D, D).real
+    worst = float(np.sqrt(squares[3:].max()))
+    scale = max(1.0, float(np.sqrt(squares[2])))
     return Certificate(
         kind="ratio-identity",
         passed=worst <= tol * scale,

@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from dbrlab import hardy
+from dbrlab.operators import hyperexpansive_forms
 
 
 def poly_eval(f, z):
@@ -72,6 +73,21 @@ def binomial_form(G, n):
     for i in range(n + 1):
         B += (-1) ** i * math.comb(n, i) * A[i : i + m, i : i + m].T
     return B
+
+
+def ratio_witness_dense(G, r, n_max):
+    """(worst, scale) of the ratio identity B_n = r^(n-2) B_2 from full forms:
+    worst = max ||B_n - r^(n-2) B_2||_F over 3 <= n <= n_max and
+    scale = max(1, ||B_2||_F), all on the common block m = N - n_max."""
+    worst = 0.0
+    for n, B in enumerate(hyperexpansive_forms(G, n_max), 1):
+        m = B.shape[0] + n - n_max
+        if n == 2:
+            B2 = B[:m, :m]
+            scale = max(1.0, float(np.linalg.norm(B2)))
+        elif n > 2:
+            worst = max(worst, float(np.linalg.norm(B[:m, :m] - r ** (n - 2) * B2)))
+    return worst, scale
 
 
 def validate_gram(G, herm_tol=1e-12, psd_tol=1e-10):

@@ -3,13 +3,14 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dbrlab.debranges import MoebiusSymbol, hb_inner, pythagorean_mate, validate_symbol
 from dbrlab.dirichlet import PointMassMeasure, dmu_gram, moment_matrix
 from dbrlab.moments import recover_atoms
 from dbrlab.operators import (
+    BLOCK_ROWS,
     SKETCH_COLS,
     _sketch_residual,
     certify_nsd,
@@ -23,7 +24,7 @@ from dbrlab.operators import (
 from dbrlab.synthesis import synthesized_pair
 from dbrlab.debranges import hb_gram
 
-from oracles import binomial_form, symbol_taylor
+from oracles import binomial_form, ratio_witness_dense, symbol_taylor
 from test_dirichlet import random_measure
 
 EPS = np.finfo(float).eps
@@ -69,6 +70,28 @@ class TestHyperexpansiveForm:
             assert np.array_equal(hyperexpansive_form(G, n), B)
 
 
+# (N, n): N <= BLOCK_ROWS, n = N - 1, N - n a multiple of BLOCK_ROWS or not
+form_case = st.integers(2, 200).flatmap(lambda N: st.tuples(st.just(N), st.integers(1, N - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=form_case, seed=st.integers(0, 2**32 - 1))
+@example(case=(2, 1), seed=0)
+@example(case=(BLOCK_ROWS, BLOCK_ROWS - 1), seed=1)
+@example(case=(BLOCK_ROWS + 1, 1), seed=2)
+@example(case=(2 * BLOCK_ROWS + 5, 5), seed=3)
+@example(case=(200, 7), seed=4)
+@example(case=(200, 199), seed=5)
+def test_form_panels_equal_the_generator(case, seed):
+    N, n = case
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    *_, want = hyperexpansive_forms(G, n)
+    got = hyperexpansive_form(G, n)
+    assert np.array_equal(got, want)
+    assert got.flags.f_contiguous == want.flags.f_contiguous
+
+
 class TestCertifyNsd:
     def test_zero(self):
         cert = certify_nsd(np.zeros((3, 3)), 1e-10)
@@ -89,6 +112,24 @@ class TestCertifyNsd:
         assert cert.passed and cert.witness == -1.0
         assert cert.context["witness"] == "diagonal"
         assert cert.witness <= np.linalg.eigvalsh(B)[-1]
+
+    @pytest.mark.parametrize(
+        "entry, value", [((3, 7), np.nan), ((5, 5), np.nan), ((2, 9), np.inf)]
+    )
+    def test_non_finite_form_is_rejected(self, entry, value):
+        # np.linalg.cholesky does not raise on NaN, so the Cholesky route would
+        # PASS these NaN forms; inf makes eigvalsh raise LinAlgError instead
+        A = np.zeros((20, 20), dtype=complex)
+        A[entry] = value
+        with pytest.raises(ValueError, match="NaN or infinite"), np.errstate(invalid="ignore"):
+            certify_nsd(A)
+
+    def test_finite_form_whose_bound_overflows_goes_to_cholesky(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            cert = certify_nsd(-1e200 * np.eye(20))
+        assert not np.isfinite(cert.context["bound"])
+        assert cert.passed and cert.context["route"] == "cholesky"
+        assert cert.witness == -1e200
 
     def test_hermitian_part_decides(self):
         # the skew part carries no quadratic form: H = diag(-1, -1) here
@@ -300,6 +341,21 @@ class TestRatioIdentity:
         with pytest.raises(ValueError):
             ratio_identity_check(hb_gram(pair, 4), pair, 5)
 
+    @pytest.mark.parametrize("N", [512, 2 * BLOCK_ROWS + 8 + 1])
+    def test_panels_match_dense_forms(self, N):
+        # the H(b) Gram satisfies the identity; a 3-atom D(mu) Gram does not,
+        # so its witness is far from roundoff. N = 2 BLOCK_ROWS + 9 leaves a
+        # last panel of one row.
+        pair = synthesized_pair(1.0, 0.5)
+        r = 1 - abs(pair.sigma / pair.rho) ** 2
+        for G in (hb_gram(pair, N), three_atom_gram(N)):
+            cert = ratio_identity_check(G, pair, 8)
+            worst, scale = ratio_witness_dense(G, r, 8)
+            assert cert.witness == pytest.approx(worst, rel=1e-12)
+            assert cert.tolerance == pytest.approx(1e-8 * scale, rel=1e-12)
+            assert cert.context["block"] == N - 8
+        assert not cert.passed and cert.witness > 1e-3
+
 
 class TestRank1Defect:
     def test_scaled_shift_eigenvalue_one(self):
@@ -447,6 +503,31 @@ class TestSketchNsd:
         cert, peak = peak_bytes(certify_nsd, A)
         assert not cert.passed and cert.context["route"] == "cholesky"
         assert peak < 3.5 * N * N * 16
+
+
+class TestPanelMemory:
+    """tracemalloc peaks at N = 512, in N x N complex arrays."""
+
+    NN = 512 * 512 * 16
+
+    def test_ratio_identity_holds_no_full_form(self):
+        pair = synthesized_pair(1.0, 0.5)
+        G = hb_gram(pair, 512)
+        cert, peak = peak_bytes(ratio_identity_check, G, pair, 8)
+        assert cert.passed
+        assert peak < self.NN
+
+    def test_single_form_allocates_little_beyond_its_result(self):
+        G = three_atom_gram(512)
+        B, peak = peak_bytes(hyperexpansive_form, G, 5)
+        assert B.shape == (507, 507)
+        assert peak < 1.25 * self.NN
+
+    def test_recovery_holds_one_hermitian_copy(self):
+        D = defect_matrix(three_atom_gram(513))
+        result, peak = peak_bytes(recover_atoms, D)
+        assert len(result.measure) == 3
+        assert peak < 1.5 * self.NN
 
 
 def exact_residual(A, Q, S):
