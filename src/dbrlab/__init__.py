@@ -6,6 +6,7 @@ from .hardy import (
     h2_inner,
     monomial,
     normalize,
+    powers,
 )
 from .dirichlet import (
     GramMatrix,
@@ -13,7 +14,6 @@ from .dirichlet import (
     dmu_cauchy_norm,
     dmu_gram,
     dmu_inner,
-    local_dirichlet,
     moment_matrix,
     truncated_cauchy_kernel,
 )
@@ -75,11 +75,11 @@ __all__ = [
     "hb_inner",
     "hyperexpansive_form",
     "hyperexpansive_forms",
-    "local_dirichlet",
     "moment_matrix",
     "monomial",
     "normalize",
     "numerical_rank",
+    "powers",
     "pythagorean_mate",
     "rank1_defect_check",
     "ratio_identity_check",

@@ -14,6 +14,7 @@ floats); exit status is 0 exactly when every emitted certificate passes.
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -76,8 +77,22 @@ def _complex_json(z):
     return {"re": z.real, "im": z.imag}
 
 
+def _finite_json(x):
+    """x with each non-finite float replaced by the string "inf", "-inf" or
+    "nan": strict JSON has no such numbers, and json.dumps would write the
+    non-standard Infinity and NaN."""
+    if isinstance(x, dict):
+        return {k: _finite_json(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_json(v) for v in x]
+    if isinstance(x, float) and not math.isfinite(x):
+        return str(x)
+    return x
+
+
 def _dump(payload, out_path):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    payload = _finite_json(payload)
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out_path:
         Path(out_path).write_text(text)
     else:

@@ -76,12 +76,6 @@ class GramMatrix:
         object.__setattr__(self, "entries", np.asarray(self.entries, dtype=complex))
 
 
-def local_dirichlet(f, zeta):
-    """|| (f - f(zeta)) / (z - zeta) ||^2 in H^2; local smoothness of f at zeta."""
-    q = hardy.difference_quotient(f, zeta)
-    return float(np.real(hardy.h2_inner(q, q)))
-
-
 def dmu_inner(f, g, mu):
     """D(mu) inner product of two polynomials."""
     val = hardy.h2_inner(f, g)
@@ -108,29 +102,48 @@ def _toeplitz_gram(U):
     return C
 
 
+def _locations_weights(mu):
+    return (
+        np.array([z for z, _ in mu.atoms], dtype=complex),
+        np.array([w for _, w in mu.atoms], dtype=float),
+    )
+
+
 def dmu_gram(mu, n):
     """Monomial Gram matrix G[i][j] = <z^i, z^j> in D(mu), size n, in O(n^2 * atoms).
 
     Each atom adds T T^H, T Toeplitz of first column sqrt(w) (0, 1, zeta, zeta^2, ...).
+    The powers are `hardy.powers`, a running product, whose rounding error
+    drifts slowly along the row: each diagonal of G sums the products
+    zeta^l conj(zeta^(l+d)) along it, and their error changes by O(eps)
+    from one step to the next rather than jittering by O(l eps), as
+    independently rounded powers make it do. The order-n form, the n-th
+    Pascal difference of G, amplifies that error by up to 2^n; from
+    running products it stays close enough to the form's exact low rank
+    for the NSD sketch to decide it.
     """
     n = int(n)
     if n < 1:
         raise ValueError("Gram size must be >= 1")
+    z, w = _locations_weights(mu)
     U = np.zeros((len(mu), n), dtype=complex)
-    for r, (z, w) in enumerate(mu.atoms):
-        U[r, 1:] = np.sqrt(w) * np.asarray(z, dtype=complex) ** np.arange(n - 1)
+    U[:, 1:] = np.sqrt(w)[:, np.newaxis] * hardy.powers(z, n - 1)
     return GramMatrix(entries=_toeplitz_gram(U))
 
 
 def moment_matrix(mu, n):
-    """M[i][j] = sum_k w_k z_k^i conj(z_k)^j, size n; Hermitian PSD, rank = #atoms."""
+    """M[i][j] = sum_k w_k z_k^i conj(z_k)^j, size n; Hermitian PSD, rank = #atoms.
+
+    The Vandermonde columns are `hardy.powers` running products, the same
+    rows `dmu_gram` builds from, so the moment identity D = M compares two
+    routes whose power errors match and cancel.
+    """
     n = int(n)
     if n < 1:
         raise ValueError("moment matrix size must be >= 1")
-    z = np.array([z for z, _ in mu.atoms], dtype=complex)
-    w = np.array([w for _, w in mu.atoms], dtype=float)
+    z, w = _locations_weights(mu)
     # V[i][k] = z_k^i, the n x k Vandermonde: M = V diag(w) V^H, one product
-    V = z ** np.arange(n)[:, np.newaxis]
+    V = hardy.powers(z, n).T
     return (V * w) @ V.conj().T
 
 
@@ -156,4 +169,4 @@ def dmu_cauchy_norm(alpha, lam, w):
 
 def truncated_cauchy_kernel(w, degree):
     """Taylor coefficients conj(w)^k of k_w(z) = 1/(1 - conj(w) z), k <= degree."""
-    return np.conj(complex(w)) ** np.arange(degree + 1)
+    return hardy.powers(np.conj(complex(w)), degree + 1)

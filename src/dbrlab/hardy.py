@@ -37,6 +37,31 @@ def monomial(n):
     return f
 
 
+def powers(z, n):
+    """The powers 1, z, ..., z^(n-1) along the last axis, by running product.
+
+    z is a scalar, giving shape (n,), or a 1-D array of k points, giving
+    shape (k, n). Each step z^(l+1) = fl(z^l * z) adds the rounding of one
+    complex multiplication, a relative error of at most sqrt(2) eps
+    (Higham 2002, sec. 3.6), so the error of z^l is a sum of l local
+    roundings: at most about sqrt(2) l eps, and in practice of order
+    sqrt(l) eps, as their signs vary. numpy's power operator on an array
+    of exponents rounds each power on its own, with errors of hundreds of
+    eps near l = 500 for |z| = 1 that are uncorrelated from one power to
+    the next. The running product's error instead drifts slowly in l, so
+    z^l conj(z^(l+d)) is nearly constant along each diagonal d of a Gram
+    built from these rows, which is what the Pascal differences of its
+    forms need.
+    """
+    z = np.asarray(z, dtype=complex)
+    out = np.empty(z.shape + (int(n),), dtype=complex)
+    if out.shape[-1] > 0:
+        out[..., 0] = 1
+        out[..., 1:] = z[..., np.newaxis]
+        np.cumprod(out[..., 1:], axis=-1, out=out[..., 1:])
+    return out
+
+
 def h2_inner(f, g):
     """Hardy-space inner product sum_k f_k conj(g_k)."""
     f = as_poly(f)

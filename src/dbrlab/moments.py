@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import hardy
 from .dirichlet import PointMassMeasure, dmu_gram
 from .operators import (
     BLOCK_ROWS,
@@ -122,7 +123,7 @@ def recover_atoms(M, k=None, rank_tol=RANK_TOL):
         clamped.append(z)
     locs = np.asarray(clamped)
 
-    V = locs[np.newaxis, :] ** np.arange(N)[:, np.newaxis]
+    V = hardy.powers(locs, N).T
     Q, R = np.linalg.qr(V)
     # column i of the basis is R[:, i] R[:, i]^H, the image of atom i's outer product
     basis = (R[:, np.newaxis, :] * R.conj()[np.newaxis, :, :]).reshape(k * k, k)

@@ -237,25 +237,43 @@ def _sketch_residual(A, p):
     1 + (N + 2)^2 eps for the rounding of the sum of 2 N^2 squares and of
     the subtraction, plus SKETCH_ROUNDING * p * (p + 2) * eps * (1 + delta)
     * ||S||_F for the products and the p x p eigvalsh of S; its callers may
-    take eigvalsh(S) as exact. delta is ||fl(Q^H Q) - I||_F plus
-    2 (N + 2) p eps for that product (Higham 2002, sec. 3.5): it only
-    scales terms, so its N-dependence costs nothing.
+    take eigvalsh(S) as exact. Those relative terms fail in the subnormal
+    range, where each operation errs by up to half the smallest subnormal
+    t: a norm below 2^-484 is summed again with the residual scaled by
+    2^600, as the squares of entries below ~2^-537 underflow, and e adds
+    8 N p (p + 2) t for the absolute roundings of the products, at least
+    sqrt(2) N times the ~8 p (sqrt(p) + 1) t/2 of each entry. delta is
+    ||fl(Q^H Q) - I||_F plus 2 (N + 2) p eps for that product (Higham
+    2002, sec. 3.5): it only scales terms, so its N-dependence costs
+    nothing.
     """
     N = A.shape[0]
     eps = np.finfo(float).eps
     Q, S = _sketch(A, p)
     W = S @ Q.conj().T
-    squares = 0.0
-    for i in range(0, N, BLOCK_ROWS):
-        R = Q[i : i + BLOCK_ROWS] @ W
-        R -= A[i : i + BLOCK_ROWS]
-        squares += np.vdot(R, R).real
+    norm = np.sqrt(_residual_squares(A, Q, W, 1.0))
+    if norm < 2.0**-484:
+        norm = np.sqrt(_residual_squares(A, Q, W, 2.0**600)) * 2.0**-600
     D = Q.conj().T @ Q
     D[np.diag_indices_from(D)] -= 1
     delta = float(np.linalg.norm(D)) + 2 * (N + 2) * p * eps
     rounding = SKETCH_ROUNDING * p * (p + 2) * eps * (1 + delta) * np.linalg.norm(S)
-    e = float(np.sqrt(squares) * (1 + (N + 2) ** 2 * eps) + rounding)
+    subnormal = 8 * N * p * (p + 2) * np.finfo(float).smallest_subnormal
+    e = float(norm * (1 + (N + 2) ** 2 * eps) + rounding + subnormal)
     return Q, S, e, delta
+
+
+def _residual_squares(A, Q, W, scale):
+    """||(Q W - A) * scale||_F^2, BLOCK_ROWS rows at a time; scale is a
+    power of two, so scaling the tiny residuals it is used on is exact."""
+    squares = 0.0
+    for i in range(0, A.shape[0], BLOCK_ROWS):
+        R = Q[i : i + BLOCK_ROWS] @ W
+        R -= A[i : i + BLOCK_ROWS]
+        if scale != 1:
+            R *= scale
+        squares += np.vdot(R, R).real
+    return squares
 
 
 def _sketch_rank(M, tau):

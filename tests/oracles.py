@@ -6,6 +6,7 @@ way, so none of them belongs to the runtime.
 
 import math
 
+import mpmath
 import numpy as np
 
 from dbrlab import hardy
@@ -18,6 +19,12 @@ def poly_eval(f, z):
     for c in hardy.as_poly(f)[::-1]:
         acc = acc * z + c
     return acc
+
+
+def local_dirichlet(f, zeta):
+    """|| (f - f(zeta)) / (z - zeta) ||^2 in H^2; local smoothness of f at zeta."""
+    q = hardy.difference_quotient(f, zeta)
+    return float(np.real(hardy.h2_inner(q, q)))
 
 
 def coanalytic_toeplitz_apply(symbol_coeffs, f):
@@ -62,6 +69,29 @@ def symbol_taylor(b, n):
 def mate_taylor(pair, n):
     """First n Taylor coefficients of the mate a(z) = (rho - sigma z)/(1 - beta z)."""
     return moebius_taylor(pair.rho, -pair.sigma, pair.b.beta, n)
+
+
+def exact_powers(z, n):
+    """z^0 .. z^(n-1) of the double z, each rounded once from 40-digit mpmath."""
+    out = np.empty(n, dtype=complex)
+    with mpmath.workdps(40):
+        zz, p = mpmath.mpc(complex(z)), mpmath.mpc(1)
+        for l in range(n):
+            out[l] = complex(p)
+            p *= zz
+    return out
+
+
+def dmu_forms_closed(mu, N, n_max):
+    """Yield B_1 .. B_n_max of the size-N D(mu) Gram by their closed form
+    B_n = -(sum_k w_k (1 - |z_k|^2)^(n-1) p_k p_k^H)^T, p_k = exact_powers(z_k, N - n)."""
+    atoms = [(exact_powers(z, N - 1), w, 1 - abs(z) ** 2) for z, w in mu.atoms]
+    for n in range(1, n_max + 1):
+        m = N - n
+        B = np.zeros((m, m), dtype=complex)
+        for p, w, d in atoms:
+            B -= w * d ** (n - 1) * np.outer(p[:m], p[:m].conj()).T
+        yield B
 
 
 def binomial_form(G, n):

@@ -227,6 +227,24 @@ class TestCertify:
             assert c["context"]["bound"] <= c["tolerance"]
             assert c["context"]["witness"] == "diagonal"
 
+    def test_overflowing_bound_is_strict_json(self, tmp_path, capsys):
+        # weight 1e160 overflows the sketch bound of both forms; strict JSON
+        # has no Infinity, so the bound is written as the string "inf"
+        path = write_measure(tmp_path, PointMassMeasure.single(0.5, 1e160))
+        with np.errstate(over="ignore"):
+            main(["certify", "--measure", path, "--size", "16", "--n-max", "2"])
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        certs = json.loads(capsys.readouterr().out, parse_constant=reject)["certificates"]
+        assert [c["context"]["bound"] for c in certs if c["kind"] == "nsd"] == ["inf", "inf"]
+
+
+def test_dump_writes_non_finite_floats_as_strings(capsys):
+    cli._dump({"a": [float("-inf"), float("nan"), 1.5], "b": {"c": float("inf")}}, None)
+    assert json.loads(capsys.readouterr().out) == {"a": ["-inf", "nan", 1.5], "b": {"c": "inf"}}
+
 
 class TestRecover:
     def test_from_measure_forward(self, tmp_path, capsys):

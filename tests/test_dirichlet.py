@@ -9,12 +9,11 @@ from dbrlab.dirichlet import (
     dmu_cauchy_norm,
     dmu_gram,
     dmu_inner,
-    local_dirichlet,
     moment_matrix,
     truncated_cauchy_kernel,
 )
 
-from oracles import moment_matrix_outer, validate_gram
+from oracles import local_dirichlet, moment_matrix_outer, validate_gram
 
 
 def random_measure(rng, max_atoms=4, boundary_ok=True):

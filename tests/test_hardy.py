@@ -3,7 +3,9 @@ import pytest
 
 from dbrlab import hardy
 
-from oracles import moebius_taylor, poly_eval
+from oracles import exact_powers, moebius_taylor, poly_eval
+
+EPS = np.finfo(float).eps
 
 
 def random_poly(rng, deg):
@@ -126,3 +128,23 @@ class TestNormalize:
 
     def test_zero_poly_empty(self):
         assert len(hardy.normalize([0, 0])) == 0
+
+
+class TestPowers:
+    @pytest.mark.parametrize("r", [0.0, 0.3, 0.95, 1.0])
+    def test_against_mpmath(self, r):
+        # the error of z^l is a sum of l local roundings, O(sqrt(l) eps): below
+        # sqrt(l) eps on these points, where z ** np.arange(512) reaches 40 sqrt(l) eps
+        z = r * np.exp(1j * np.array([0.5, 1.0, 2.0, 2.5, 4.0]))
+        got = hardy.powers(z, 512)
+        assert got.shape == (5, 512)
+        l = np.arange(512)
+        for zk, row in zip(z, got):
+            assert np.array_equal(hardy.powers(zk, 512), row)
+            want = exact_powers(zk, 512)
+            assert np.all(np.abs(row - want) <= 2 * np.sqrt(l) * EPS * np.abs(want))
+
+    def test_shapes(self):
+        assert hardy.powers(0.5, 0).shape == (0,)
+        assert hardy.powers([], 3).shape == (0, 3)
+        assert np.array_equal(hardy.powers(2j, 3), [1, 2j, -4])

@@ -24,7 +24,7 @@ from dbrlab.operators import (
 from dbrlab.synthesis import synthesized_pair
 from dbrlab.debranges import hb_gram
 
-from oracles import binomial_form, ratio_witness_dense, symbol_taylor
+from oracles import binomial_form, dmu_forms_closed, ratio_witness_dense, symbol_taylor
 from test_dirichlet import random_measure
 
 EPS = np.finfo(float).eps
@@ -480,6 +480,14 @@ class TestSketchNsd:
         assert not cert.passed and cert.witness == pytest.approx(1e-3)
         assert cert.context["route"] == "cholesky"
 
+    def test_tiny_positive_direction_outside_sketch_fails(self):
+        # the same at scale 1e-200: the residual's squares underflow, so summed
+        # unscaled they gave e = 0 and a sketch PASS of a top eigenvalue 1e-220
+        A = 1e-200 * np.diag([-1.0] * SKETCH_COLS + [1e-20] + [0.0] * 31).astype(complex)
+        cert = certify_nsd(A, tol=1e-250)
+        assert not cert.passed and cert.witness == pytest.approx(1e-220)
+        assert cert.context["route"] == "cholesky"
+
     def test_sketch_route_allocates_less_than_one_form(self):
         B = next(hyperexpansive_forms(three_atom_gram(513), 1))
         N = B.shape[0]
@@ -548,10 +556,11 @@ def exact_residual(A, Q, S):
     N=st.integers(1, 14),
     order=st.integers(0, 3),
 )
+@example(atoms=[(1.0, 4.472326853967332e-294, 1.0)], N=2, order=3)
 def test_sketch_residual_bounds_the_exact_residual(atoms, N, order):
     # e and delta bound their exact values for the computed Q and S: for a
     # form of rank <= p the residual is all roundoff, so the rounding terms
-    # must carry the bound
+    # must carry the bound; the example's form has subnormal entries (~1e-309)
     locs = [r * np.exp(1j * t) for r, t, _ in atoms]
     assume(len(set(locs)) == len(locs))
     mu = PointMassMeasure(atoms=tuple(zip(locs, (w for _, _, w in atoms))))
@@ -561,6 +570,15 @@ def test_sketch_residual_bounds_the_exact_residual(atoms, N, order):
     residual, drift = exact_residual(A, Q, S)
     assert residual <= e
     assert drift <= delta
+
+
+def test_sketch_residual_bounds_a_subnormal_residual():
+    # a rank-1 form in multiples of the smallest subnormal: each product rounds
+    # by an absolute amount that the relative terms of e do not cover
+    A = np.array([[250, 150 + 50j], [150 - 50j, 100]]) * np.finfo(float).smallest_subnormal
+    Q, S, e, delta = _sketch_residual(A, 2)
+    residual, drift = exact_residual(A, Q, S)
+    assert residual <= e and drift <= delta
 
 
 @settings(max_examples=300, deadline=None)
@@ -608,13 +626,40 @@ def test_dmu_forms_are_weighted_moment_matrices(atoms, N):
     mu = PointMassMeasure(atoms=tuple(zip(locs, (w for _, _, w in atoms))))
     G = dmu_gram(mu, N).entries
     scale = N * EPS * np.abs(G).max()
-    for n, B in enumerate(hyperexpansive_forms(G, N - 1), 1):
-        m = N - n
-        want = np.zeros((m, m), dtype=complex)
-        for z, w in mu.atoms:
-            p = z ** np.arange(m)
-            want -= w * (1 - abs(z) ** 2) ** (n - 1) * np.outer(p, p.conj()).T
+    closed = dmu_forms_closed(mu, N, N - 1)
+    for n, (B, want) in enumerate(zip(hyperexpansive_forms(G, N - 1), closed), 1):
         assert np.abs(B - want).max() <= 2**n * scale
+
+
+# one heavy boundary atom at N = 512: forms built from independently rounded
+# powers (z ** np.arange) were 0.03-0.06 of the scale below off their closed
+# form, and the sketch could not decide orders 1-5 (orders 2-5 were false FAILs)
+HEAVY_BOUNDARY = PointMassMeasure(atoms=((0.6 + 0.8j, 10.0), (0.3 + 0.1j, 0.5)))
+
+
+@pytest.fixture(scope="module")
+def heavy_boundary():
+    N = 512
+    G = dmu_gram(HEAVY_BOUNDARY, N).entries
+    return G, list(zip(hyperexpansive_forms(G, 5), dmu_forms_closed(HEAVY_BOUNDARY, N, 5)))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_heavy_boundary_forms_are_near_their_closed_form(heavy_boundary, n):
+    # ||B_n - closed||_2 <= 0.02 2^n (N - n) eps max|G|: the Pascal differences
+    # amplify the Gram's rounding by up to 2^n, but running-product powers keep
+    # it smooth along the diagonals (measured <= 0.009 of this scale)
+    G, forms = heavy_boundary
+    B, want = forms[n - 1]
+    scale = 2**n * B.shape[0] * EPS * np.abs(G).max()
+    assert np.linalg.norm(B - want, 2) <= 0.02 * scale
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_heavy_boundary_forms_pass_on_the_sketch(heavy_boundary, n):
+    _, forms = heavy_boundary
+    cert = certify_nsd(forms[n - 1][0], order=n)
+    assert cert.passed and cert.context["route"] == "sketch"
 
 
 def valid_symbol(c, gamma, beta, fraction):
