@@ -29,6 +29,7 @@ from .debranges import (
     pythagorean_mate,
 )
 from .dirichlet import (
+    DISK_TOL,
     PointMassMeasure,
     dmu_cauchy_norm,
     dmu_gram,
@@ -161,9 +162,6 @@ def cmd_mate(args):
 
 
 def cmd_synthesize(args):
-    if abs(args.lam) > 1:
-        print(f"error: |lambda| = {abs(args.lam)} must be <= 1", file=sys.stderr)
-        return 1
     out = synthesize_symbol(args.alpha, args.lam)
     _dump(out.symbol().to_json_dict(), args.out)
     return 0
@@ -235,9 +233,8 @@ def cmd_recover(args):
     else:
         mu = _load_measure(args.measure)
         M = moment_matrix(mu, args.size)
-    k = None if args.atoms == "auto" else int(args.atoms)
     try:
-        result = recover_atoms(M, k=k, rank_tol=_tol(args, "rank"))
+        result = recover_atoms(M, k=args.atoms, rank_tol=_tol(args, "rank"))
     except RecoveryError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -286,13 +283,46 @@ def _at_least(lo):
     return parse
 
 
+def _atom_count(s):
+    """argparse type: 'auto' (None: the numerical rank decides) or an int >= 0."""
+    return None if s == "auto" else _at_least(0)(s)
+
+
+def _radius(s):
+    """argparse type: a float in [0, 1), the radius of an open subdisk."""
+    try:
+        r = float(s)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(f"invalid float value: {s!r}") from e
+    if not 0 <= r < 1:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {r}")
+    return r
+
+
+def _disk_point(s):
+    """argparse type: a complex value in the closed unit disk, up to DISK_TOL."""
+    z = parse_complex(s)
+    if abs(z) > 1 + DISK_TOL:
+        raise argparse.ArgumentTypeError(f"{s!r} lies outside the closed unit disk")
+    return z
+
+
 def _parse_tols(pairs):
+    """KEY=VALUE overrides: a known key, a finite value >= 0; rank in (0, 1)."""
     out = {}
     for item in pairs or []:
         key, _, value = item.partition("=")
         if key not in DEFAULT_TOLS:
             raise argparse.ArgumentTypeError(f"unknown tolerance key {key!r}")
-        out[key] = float(value)
+        try:
+            tol = float(value)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(f"tolerance {key} needs a number, got {value!r}") from e
+        if key == "rank" and not 0 < tol < 1:
+            raise argparse.ArgumentTypeError(f"tolerance rank must lie in (0, 1), got {tol}")
+        if not 0 <= tol < math.inf:
+            raise argparse.ArgumentTypeError(f"tolerance {key} must be finite and >= 0, got {tol}")
+        out[key] = tol
     return out
 
 
@@ -316,7 +346,7 @@ def build_parser():
 
     p = sub.add_parser("synthesize", help="symbol from (alpha, lambda)")
     p.add_argument("--alpha", type=parse_complex, required=True)
-    p.add_argument("--lambda", dest="lam", type=parse_complex, required=True)
+    p.add_argument("--lambda", dest="lam", type=_disk_point, required=True)
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_synthesize)
 
@@ -324,7 +354,7 @@ def build_parser():
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--measure", help="single-atom measure JSON file")
     g.add_argument("--alpha", type=parse_complex)
-    p.add_argument("--lambda", dest="lam", type=parse_complex, default=0j)
+    p.add_argument("--lambda", dest="lam", type=_disk_point, default=0j)
     p.add_argument("--size", type=_at_least(2), default=24, metavar="N")
     p.add_argument("--out", help="output prefix (.json + two Gram CSVs)")
     p.set_defaults(func=cmd_verify_equality)
@@ -340,18 +370,18 @@ def build_parser():
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--moments", help="moment matrix CSV (re,im cell pairs)")
     g.add_argument("--measure", help="measure JSON file (forward oracle)")
-    p.add_argument("--atoms", default="auto", help="atom count or 'auto'")
+    p.add_argument("--atoms", type=_atom_count, default="auto", help="atom count or 'auto'")
     p.add_argument("--size", type=_at_least(1), default=24, metavar="N")
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("kernel-norms", help="closed-form vs truncated kernels")
     p.add_argument("--alpha", type=parse_complex, required=True)
-    p.add_argument("--lambda", dest="lam", type=parse_complex, required=True)
+    p.add_argument("--lambda", dest="lam", type=_disk_point, required=True)
     p.add_argument("--points", type=_at_least(0), default=10)
-    p.add_argument("--degree", type=int, default=300)
-    p.add_argument("--radius", type=float, default=0.8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--degree", type=_at_least(0), default=300)
+    p.add_argument("--radius", type=_radius, default=0.8)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_kernel_norms)
 

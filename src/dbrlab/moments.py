@@ -13,14 +13,12 @@ import numpy as np
 from . import hardy
 from .dirichlet import PointMassMeasure, dmu_gram
 from .operators import (
-    BLOCK_ROWS,
     RANK_TOL,
-    SKETCH_COLS,
     Certificate,
+    _residual_squares,
     _sketch,
     _sketch_rank,
     defect_matrix,
-    numerical_rank,
 )
 
 # atoms may stick out of the disk by at most this much before recovery fails;
@@ -51,17 +49,19 @@ def recover_atoms(M, k=None, rank_tol=RANK_TOL):
 
     k is the expected atom count; when omitted it is set to the numerical
     rank of M, that of its Hermitian part H at rank_tol: the number of
-    |eigenvalues| of H above rank_tol times the largest. The certified
-    sketch of `_sketch_rank` decides it without an N x N eigensolve when the
-    rank is small; `numerical_rank` only when the sketch leaves it
-    undecided. Requires at least k+1 rows of moments.
+    |eigenvalues| of H above rank_tol times the largest, decided once by
+    `_sketch_rank`: by its certified sketch, without an N x N eigensolve,
+    when the rank is small, and by the SVD of H only when the sketch leaves
+    it undecided. k < 0 raises RecoveryError. Requires at least k+1 rows of
+    moments.
 
     The column space used for the locations is that of the k largest-|eigenvalue|
     directions of H, found without an N x N eigensolve: the Ritz basis of the
     rank sketch, Q times the eigenvectors of the small S = Q^H H Q with the k
     largest |eigenvalues| (Rayleigh-Ritz). Q spans two subspace-iteration
     steps from a fixed pseudo-random start, so the output is deterministic;
-    it has SKETCH_COLS columns, or k of its own (`_sketch`) when k is larger.
+    it has the rank sketch's columns, or k of its own (`_sketch`) when k is
+    larger.
     For the moment matrix of a positive measure these are its k positive
     eigenvalues. For a signed input the negative directions count by their
     size too, unlike a basis of the top k algebraic eigenvectors: the fit
@@ -85,11 +85,9 @@ def recover_atoms(M, k=None, rank_tol=RANK_TOL):
     H += M
     H *= 0.5
     rank, Q, S = _sketch_rank(H, rank_tol)
-    if rank is None:
-        rank = numerical_rank(H, rank_tol)
-    if k is None:
-        k = rank
-    k = int(k)
+    k = rank if k is None else int(k)
+    if k < 0:
+        raise RecoveryError(f"atom count {k} must be >= 0")
     if k == 0:
         return RecoveryResult(
             measure=PointMassMeasure.empty(),
@@ -101,7 +99,7 @@ def recover_atoms(M, k=None, rank_tol=RANK_TOL):
     if N < k + 1:
         raise RecoveryError(f"need at least {k + 1} moment rows for {k} atoms")
 
-    if k > SKETCH_COLS:
+    if k > Q.shape[1]:
         Q, S = _sketch(H, k)
     del H
     lam, W = np.linalg.eigh(S)
@@ -134,14 +132,8 @@ def recover_atoms(M, k=None, rank_tol=RANK_TOL):
     if np.any(weights <= WEIGHT_FLOOR):
         raise RecoveryError("recovered a nonpositive atom weight")
 
-    # ||M - V W V^H||_F, BLOCK_ROWS rows at a time, so no N x N temporary;
-    # joined by hypot, a single block keeps np.linalg.norm's value exactly
-    VW, VH = V * weights, V.conj().T
-    residual = 0.0
-    for i in range(0, N, BLOCK_ROWS):
-        R = VW[i : i + BLOCK_ROWS] @ VH
-        R -= M[i : i + BLOCK_ROWS]
-        residual = float(np.hypot(residual, np.linalg.norm(R)))
+    # ||M - V W V^H||_F, summed in row blocks, so no N x N temporary
+    residual = float(np.sqrt(_residual_squares(M, V * weights, V.conj().T, 1.0)))
     condition = float(np.linalg.cond(V))
     measure = PointMassMeasure(atoms=tuple(zip(locs, weights)))
     return RecoveryResult(measure=measure, residual=residual, condition=condition)

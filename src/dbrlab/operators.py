@@ -27,8 +27,8 @@ SKETCH_COLS = 8
 # ||Q||_F^2 <= p (1 + delta)) and the backward error of the p x p eigvalsh
 # of S (Householder tridiagonalization, ch. 19), with room
 SKETCH_ROUNDING = 3
-# rows formed at a time by the blocked loops (the sketch residual, the
-# Pascal panels of the forms, the recovery residual), so that no N x N
+# rows formed at a time by the blocked loops (the Pascal panels of the
+# forms, the residuals of the sketch and of the recovery), so that no N x N
 # temporary is allocated
 BLOCK_ROWS = 64
 
@@ -277,8 +277,9 @@ def _residual_squares(A, Q, W, scale):
 
 
 def _sketch_rank(M, tau):
-    """(count, Q, S): the count of numerical_rank, or None if undecided, from
-    the `_sketch_residual` (Q, S, e, delta) of M with SKETCH_COLS columns.
+    """(count, Q, S): the count of numerical_rank, from the `_sketch_residual`
+    (Q, S, e, delta) of M with SKETCH_COLS columns when that settles it, else
+    from the SVD of M.
 
     Every singular value of M lies within e of the matching one of
     Q S Q^H (Weyl/Mirsky). Those are |eigenvalues of S|, each scaled by a
@@ -286,28 +287,31 @@ def _sketch_rank(M, tau):
     every singular value of M lies within e' = e + delta * (m + e) of the
     matching |eig S| or zero, m = max |eig S|. Hence sigma_1 lies in
     [m - e', m + e'], tau * sigma_1 in [lo, hi] = [tau (m - e'), tau (m + e')],
-    and the count is exact when the padding zeros lie below it (e' < lo)
-    and no |eig S| lies within e' of that interval. sigma_1 <= m + e' also
-    certifies a zero count when m + e' <= ZERO_SIGMA. An empty M has count
-    0 and a non-square one no sketch: Q and S are then None.
+    and the sketch's count is exact when the padding zeros lie below it
+    (e' < lo) and no |eig S| lies within e' of that interval. sigma_1 <= m + e'
+    also certifies a zero count when m + e' <= ZERO_SIGMA. An empty M has
+    count 0 and a non-square one goes straight to the SVD: Q and S are then
+    None.
     """
     if not 0 < tau < 1:
         raise ValueError("relative threshold must lie in (0, 1)")
     N = M.shape[0]
     if M.size == 0:
         return 0, None, None
-    if M.shape[1] != N:
-        return None, None, None
-    Q, S, e, delta = _sketch_residual(M, min(SKETCH_COLS, N))
-    lam = np.abs(np.linalg.eigvalsh(S))
-    m = float(lam.max())
-    e += delta * (m + e)
-    if m + e <= ZERO_SIGMA:
-        return 0, Q, S
-    lo, hi = tau * (m - e), tau * (m + e)
-    if not (m > ZERO_SIGMA and e < lo) or np.any((lam >= lo - e) & (lam <= hi + e)):
-        return None, Q, S
-    return int(np.count_nonzero(lam > hi)), Q, S
+    Q = S = None
+    if M.shape[1] == N:
+        Q, S, e, delta = _sketch_residual(M, min(SKETCH_COLS, N))
+        lam = np.abs(np.linalg.eigvalsh(S))
+        m = float(lam.max())
+        e += delta * (m + e)
+        if m + e <= ZERO_SIGMA:
+            return 0, Q, S
+        lo, hi = tau * (m - e), tau * (m + e)
+        if m > ZERO_SIGMA and e < lo and not np.any((lam >= lo - e) & (lam <= hi + e)):
+            return int(np.count_nonzero(lam > hi)), Q, S
+    s = np.linalg.svd(M, compute_uv=False)
+    rank = 0 if s[0] <= ZERO_SIGMA else int(np.count_nonzero(s > tau * s[0]))
+    return rank, Q, S
 
 
 def numerical_rank(M, tau=RANK_TOL):
@@ -318,12 +322,7 @@ def numerical_rank(M, tau=RANK_TOL):
     it does not: rank above SKETCH_COLS, a singular value near the
     threshold, strongly non-Hermitian or non-square M.
     """
-    M = np.asarray(M, dtype=complex)
-    rank, _, _ = _sketch_rank(M, tau)
-    if rank is None:
-        s = np.linalg.svd(M, compute_uv=False)
-        rank = 0 if s[0] <= ZERO_SIGMA else int(np.count_nonzero(s > tau * s[0]))
-    return rank
+    return _sketch_rank(np.asarray(M, dtype=complex), tau)[0]
 
 
 def ratio_identity_check(G_b, pair, n_max, tol=1e-8):

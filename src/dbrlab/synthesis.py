@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .debranges import MoebiusSymbol, _s_and_p, hb_gram, pythagorean_mate, validate_symbol
-from .dirichlet import PointMassMeasure, dmu_gram
+from .dirichlet import DISK_TOL, PointMassMeasure, dmu_gram
 from .operators import Certificate
 
 TWO_ISOMETRY_TOL = 1e-10
@@ -47,7 +47,7 @@ def synthesize_symbol(alpha, lam):
     """
     alpha = complex(alpha)
     lam = complex(lam)
-    if abs(lam) > 1 + 1e-12:
+    if abs(lam) > 1 + DISK_TOL:
         raise ValueError(f"|lambda| = {abs(lam)} must be <= 1")
     aa = abs(alpha) ** 2
     if aa == 0:

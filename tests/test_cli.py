@@ -71,6 +71,21 @@ def test_recover_loads_no_numpy_random(tmp_path):
         ["recover", "--measure", "{mu}", "--size", "0"],
         ["verify-equality", "--alpha", "1", "--size", "1"],
         ["kernel-norms", "--alpha", "1", "--lambda", "0.5", "--points", "-1"],
+        ["--tol", "nsd=abc", "certify", "--measure", "{mu}"],
+        ["--tol", "nsd", "certify", "--measure", "{mu}"],
+        ["--tol", "nsd=-1", "certify", "--measure", "{mu}"],
+        ["--tol", "nsd=inf", "certify", "--measure", "{mu}"],
+        ["--tol", "rank=2", "certify", "--measure", "{mu}"],
+        ["--tol", "rank=0", "recover", "--measure", "{mu}"],
+        ["recover", "--measure", "{mu}", "--atoms", "abc"],
+        ["recover", "--measure", "{mu}", "--atoms", "-1"],
+        ["kernel-norms", "--alpha", "1", "--lambda", "0.5", "--radius", "1.5"],
+        ["kernel-norms", "--alpha", "1", "--lambda", "0.5", "--radius", "-0.1"],
+        ["kernel-norms", "--alpha", "1", "--lambda", "0.5", "--degree", "-1"],
+        ["kernel-norms", "--alpha", "1", "--lambda", "0.5", "--seed", "-1"],
+        ["synthesize", "--alpha", "1", "--lambda", "2"],
+        ["verify-equality", "--alpha", "1", "--lambda", "1.5i"],
+        ["kernel-norms", "--alpha", "1", "--lambda", "2"],
     ],
 )
 def test_out_of_range_input_exits_2(tmp_path, capsys, argv):
@@ -111,7 +126,16 @@ class TestSynthesize:
         assert out["gamma"] == {"re": 0.0, "im": 0.0}
 
     def test_rejects_outside_disk(self, capsys):
-        assert main(["synthesize", "--alpha", "1", "--lambda", "2"]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["synthesize", "--alpha", "1", "--lambda", "2"])
+        assert exc.value.code == 2
+
+    def test_disk_rule_is_dirichlet_disk_tol(self, capsys):
+        # |lambda| up to 1 + DISK_TOL is on the circle, as for measure atoms
+        assert main(["synthesize", "--alpha", "1", "--lambda", "1.0000000000001"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["synthesize", "--alpha", "1", "--lambda", "1.00000000001"])
+        assert exc.value.code == 2
 
     def test_deterministic_output(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

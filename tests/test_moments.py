@@ -47,6 +47,11 @@ class TestRecoverAtoms:
         with pytest.raises(RecoveryError):
             recover_atoms(M, k=3)
 
+    def test_negative_count_rejected(self):
+        M = moment_matrix(PointMassMeasure.single(0.5, 1.0), 4)
+        with pytest.raises(RecoveryError, match=">= 0"):
+            recover_atoms(M, -1)
+
     def test_rejects_nonsquare(self):
         with pytest.raises(RecoveryError):
             recover_atoms(np.zeros((3, 4)))
@@ -58,12 +63,18 @@ class TestRecoverAtoms:
         for z, _ in result.measure.atoms:
             assert abs(z) <= 1
 
-    def test_self_consistent_residual(self):
+    # one residual block (N <= 64) and several, the last one full or not
+    @pytest.mark.parametrize("N", [8, 64, 65, 200])
+    def test_self_consistent_residual(self, N):
         mu = PointMassMeasure(atoms=((0.5, 1.0), (-0.3j, 0.4)))
-        M = moment_matrix(mu, 8)
-        result = recover_atoms(M)
-        rebuilt = moment_matrix(result.measure, 8)
-        assert result.residual == pytest.approx(np.linalg.norm(M - rebuilt), abs=1e-12)
+        # noise in every row, so that every block adds to the residual
+        rng = np.random.default_rng(N)
+        E = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        M = moment_matrix(mu, N) + 1e-10 * E
+        result = recover_atoms(M, 2)
+        rebuilt = moment_matrix(result.measure, N)
+        assert result.residual == pytest.approx(np.linalg.norm(M - rebuilt), rel=1e-13)
+        assert result.residual > 1e-10 * N
 
     def test_signed_dominant_weight_rejected(self):
         # a negated weight dominates |eigenvalue|; the recovery basis follows

@@ -229,6 +229,17 @@ class TestSketchRank:
         assert numerical_rank(moment_matrix(mu, 40)) == 10
         assert svds == [(40, 40)]
 
+    def test_recovery_decides_the_rank_with_one_sketch(self, monkeypatch):
+        # the undecided 8-column sketch goes straight to the SVD of the same
+        # matrix; then k = 10 sketch columns and one Vandermonde QR
+        locs = 0.9 * np.exp(2j * np.pi * np.arange(10) / 10)
+        mu = PointMassMeasure(atoms=tuple(zip(locs, [1.0] * 8 + [1e-3] * 2)))
+        M = moment_matrix(mu, 40)
+        qrs, svds = spy(monkeypatch, "qr"), spy(monkeypatch, "svd")
+        assert len(recover_atoms(M).measure) == 10
+        assert qrs == [(40, SKETCH_COLS)] * 2 + [(40, 10)] * 3
+        assert svds == [(40, 40)]
+
     def test_margin_below_rounding_goes_to_svd(self, monkeypatch):
         # sigma_2 clears tau * sigma_1 by 1e-13, inside the sketch's allowance
         # for the loss of orthogonality of Q (2 * 66 * 8 * eps ~ 2.3e-13 of
