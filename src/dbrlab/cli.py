@@ -100,12 +100,29 @@ def _dump(payload, out_path):
         sys.stdout.write(text)
 
 
+class InputFileError(Exception):
+    """An input file that cannot be read or parsed: a usage error (exit 2)."""
+
+
+def _read_input(path, parse):
+    """parse(text of the file at path). A file that cannot be read, or text
+    that parse rejects, raises InputFileError. A SymbolError passes through:
+    `mate` reports an invalid symbol as a failed check (exit 1)."""
+    try:
+        return parse(Path(path).read_text())
+    except SymbolError:
+        raise
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        detail = f"missing key {e}" if isinstance(e, KeyError) else str(e)
+        raise InputFileError(f"cannot read {path}: {detail}") from e
+
+
 def _load_measure(path):
-    return PointMassMeasure.from_json_dict(json.loads(Path(path).read_text()))
+    return _read_input(path, lambda t: PointMassMeasure.from_json_dict(json.loads(t)))
 
 
 def _load_symbol(path):
-    return MoebiusSymbol.from_json_dict(json.loads(Path(path).read_text()))
+    return _read_input(path, lambda t: MoebiusSymbol.from_json_dict(json.loads(t)))
 
 
 def _tol(args, key):
@@ -229,7 +246,7 @@ def cmd_certify(args):
 
 def cmd_recover(args):
     if args.moments:
-        M = gram_from_csv_text(Path(args.moments).read_text())
+        M = _read_input(args.moments, gram_from_csv_text)
     else:
         mu = _load_measure(args.measure)
         M = moment_matrix(mu, args.size)
@@ -397,7 +414,10 @@ def main(argv=None):
         parser.error(str(e))
     if args.command == "certify" and args.n_max > args.size - 1:
         parser.error(f"--n-max {args.n_max} exceeds --size - 1 = {args.size - 1}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputFileError as e:
+        parser.error(str(e))
 
 
 if __name__ == "__main__":

@@ -77,11 +77,12 @@ class GramMatrix:
 
 
 def dmu_inner(f, g, mu):
-    """D(mu) inner product of two polynomials."""
+    """D(mu) inner product of two polynomials; one difference quotient per
+    atom when g is f."""
     val = hardy.h2_inner(f, g)
     for z, w in mu.atoms:
         qf = hardy.difference_quotient(f, z)
-        qg = hardy.difference_quotient(g, z)
+        qg = qf if g is f else hardy.difference_quotient(g, z)
         val += w * hardy.h2_inner(qf, qg)
     return val
 

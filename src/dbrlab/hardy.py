@@ -77,15 +77,15 @@ def difference_quotient(f, zeta):
     """Exact synthetic division of f by (z - zeta).
 
     Returns q with f(z) = f(zeta) + (z - zeta) q(z); deg q = deg f - 1.
-    Valid for zeta anywhere in the closed disk, boundary included.
+    Valid for zeta anywhere in the closed disk, boundary included. The
+    recurrence q_k = f_(k+1) + zeta q_(k+1) runs on Python complex scalars.
     """
     f = normalize(f)
-    d = len(f) - 1
-    if d < 1:
+    if len(f) < 2:
         return f[:0]
-    q = np.empty(d, dtype=complex)
-    q[d - 1] = f[d]
-    for k in range(d - 2, -1, -1):
-        q[k] = f[k + 1] + zeta * q[k + 1]
-    return q
-
+    zeta = complex(zeta)
+    coeffs = f.tolist()
+    q = [coeffs[-1]]
+    for c in reversed(coeffs[1:-1]):
+        q.append(c + zeta * q[-1])
+    return np.array(q[::-1], dtype=complex)

@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 
 from dbrlab import hardy
-from dbrlab.operators import hyperexpansive_forms
+from dbrlab.operators import defect_matrix, hyperexpansive_forms
 
 
 def poly_eval(f, z):
@@ -25,6 +25,53 @@ def local_dirichlet(f, zeta):
     """|| (f - f(zeta)) / (z - zeta) ||^2 in H^2; local smoothness of f at zeta."""
     q = hardy.difference_quotient(f, zeta)
     return float(np.real(hardy.h2_inner(q, q)))
+
+
+def difference_quotient_loop(f, zeta):
+    """Synthetic division of f by (z - zeta) on numpy scalars, one array
+    entry at a time: q_(d-1) = f_d, q_k = f_(k+1) + zeta q_(k+1)."""
+    f = hardy.normalize(f)
+    d = len(f) - 1
+    if d < 1:
+        return f[:0]
+    q = np.empty(d, dtype=complex)
+    q[d - 1] = f[d]
+    for k in range(d - 2, -1, -1):
+        q[k] = f[k + 1] + zeta * q[k + 1]
+    return q
+
+
+def fplus_loop(f, pair):
+    """f+ by the back-substitution of T_conj(a) f+ = T_conj(b) f on numpy
+    scalars, dividing by rho, with the geometric tails kept as running sums."""
+    f = hardy.normalize(f)
+    d = len(f) - 1
+    if d < 0:
+        return f[:0]
+    b = pair.b
+    bc = np.conj(b.c)
+    btop = np.conj(b.c * b.beta + b.gamma)
+    atop = np.conj(pair.rho * b.beta - pair.sigma)
+    bb = np.conj(b.beta)
+    x = np.empty(d + 1, dtype=complex)
+    t = 0j
+    s = 0j
+    for i in range(d, -1, -1):
+        g_i = bc * f[i] + btop * t
+        x[i] = (g_i - atop * s) / pair.rho
+        t = f[i] + bb * t
+        s = x[i] + bb * s
+    return hardy.normalize(x)
+
+
+def pencil_top_dense(G):
+    """Top pencil eigenvalue d^H G_(N-1)^-1 d of a rank-1 H(b) defect d d^H
+    against the leading N - 1 block of the Gram G, by one dense LU solve."""
+    A = np.asarray(G, dtype=complex)
+    D = defect_matrix(A)
+    j = int(np.argmax(D.diagonal().real))
+    d = D[:, j] / np.sqrt(D[j, j].real)
+    return float(np.vdot(d, np.linalg.solve(A[:-1, :-1], d)).real)
 
 
 def coanalytic_toeplitz_apply(symbol_coeffs, f):

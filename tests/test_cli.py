@@ -61,6 +61,23 @@ def test_recover_loads_no_numpy_random(tmp_path):
         assert out.stdout.strip().splitlines()[-1] == "0 False False"
 
 
+# input files that cannot be parsed: usage errors, like out-of-range arguments
+BAD_FILES = {
+    "odd": "1.0,0.0,2.0\n",
+    "nonsquare": "1.0,0.0,2.0,0.0\n",
+    "ragged": "1.0,0.0,2.0,0.0\n1.0,0.0\n",
+    "negative": '{"atoms": [{"re": 0.5, "im": 0.0, "weight": -1.0}]}',
+    "duplicate": (
+        '{"atoms": [{"re": 0.5, "im": 0.0, "weight": 1.0},'
+        ' {"re": 0.5, "im": 0.0, "weight": 2.0}]}'
+    ),
+    "malformed": '{"atoms": [',
+    "no_atoms": '{"atom": []}',
+    "bad_atom": '{"atoms": [0.5]}',
+    "no_beta": '{"c": {"re": 0.1, "im": 0.0}, "gamma": {"re": 0.2, "im": 0.0}}',
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -86,12 +103,31 @@ def test_recover_loads_no_numpy_random(tmp_path):
         ["synthesize", "--alpha", "1", "--lambda", "2"],
         ["verify-equality", "--alpha", "1", "--lambda", "1.5i"],
         ["kernel-norms", "--alpha", "1", "--lambda", "2"],
+        ["recover", "--moments", "{odd}"],
+        ["recover", "--moments", "{nonsquare}"],
+        ["recover", "--moments", "{ragged}"],
+        ["recover", "--moments", "{missing}"],
+        ["certify", "--measure", "{negative}"],
+        ["certify", "--measure", "{duplicate}"],
+        ["certify", "--measure", "{missing}"],
+        ["certify", "--measure", "{malformed}"],
+        ["certify", "--measure", "{no_atoms}"],
+        ["certify", "--measure", "{bad_atom}"],
+        ["recover", "--measure", "{negative}"],
+        ["verify-equality", "--measure", "{malformed}"],
+        ["mate", "--symbol", "{malformed}"],
+        ["mate", "--symbol", "{no_beta}"],
+        ["mate", "--symbol", "{missing}"],
     ],
 )
 def test_out_of_range_input_exits_2(tmp_path, capsys, argv):
-    mu = write_measure(tmp_path, PointMassMeasure.single(0.5, 1.0))
+    files = {"mu": write_measure(tmp_path, PointMassMeasure.single(0.5, 1.0))}
+    for name, text in BAD_FILES.items():
+        files[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
+    files["missing"] = str(tmp_path / "missing.json")
     with pytest.raises(SystemExit) as exc:
-        main([a.format(mu=mu) for a in argv])
+        main([a.format(**files) for a in argv])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
 
@@ -157,6 +193,15 @@ class TestMate:
         path = write_symbol(tmp_path, MoebiusSymbol(0, 1, 0))
         assert main(["mate", "--symbol", path]) == 1
         assert "inner" in capsys.readouterr().err
+
+    def test_symbol_outside_the_ball_fails(self, tmp_path, capsys):
+        # a readable symbol file whose symbol is invalid is a failed check, not
+        # a usage error
+        path = tmp_path / "b.json"
+        zero = {"re": 0.0, "im": 0.0}
+        path.write_text(json.dumps({"c": zero, "gamma": {"re": 2.0, "im": 0.0}, "beta": zero}))
+        assert main(["mate", "--symbol", str(path)]) == 1
+        assert "unit ball" in capsys.readouterr().err
 
     def test_example_symbol(self, tmp_path, capsys):
         b = MoebiusSymbol(0, np.sqrt((9 - np.sqrt(65)) / 2), (9 - np.sqrt(65)) / 4)

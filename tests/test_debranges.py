@@ -3,8 +3,10 @@ import json
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dbrlab import hardy
+from dbrlab import debranges, hardy
 from dbrlab.debranges import (
     MoebiusSymbol,
     SymbolError,
@@ -17,7 +19,15 @@ from dbrlab.debranges import (
 )
 from dbrlab.dirichlet import dmu_gram, PointMassMeasure, truncated_cauchy_kernel
 
-from oracles import coanalytic_toeplitz_apply, mate_taylor, symbol_taylor, validate_gram
+from oracles import (
+    coanalytic_toeplitz_apply,
+    fplus_loop,
+    mate_taylor,
+    symbol_taylor,
+    validate_gram,
+)
+from test_hardy import sparse_poly
+from test_operators import valid_symbol
 
 SQ2 = 1 / np.sqrt(2)
 # single boundary-free reference pair used throughout: b(z) = z/sqrt(2)
@@ -146,6 +156,41 @@ class TestFplus:
             assert np.abs(lhs - rhs).max() <= 1e-12 * np.linalg.norm(f)
 
 
+direction = st.one_of(
+    st.just(0j),
+    st.tuples(st.floats(0.1, 1), st.floats(0, 2 * np.pi)).map(
+        lambda rt: complex(rt[0] * np.exp(1j * rt[1]))
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    c=direction,
+    gamma=direction,
+    beta=st.one_of(
+        st.just(0j),
+        st.tuples(st.floats(0, 0.95), st.floats(0, 2 * np.pi)).map(
+            lambda rt: complex(rt[0] * np.exp(1j * rt[1]))
+        ),
+    ),
+    fraction=st.floats(0, 0.99),
+    deg=st.integers(0, 600),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.sampled_from([0.0, 0.3]),
+)
+def test_fplus_matches_the_numpy_scalar_loop(c, gamma, beta, fraction, deg, seed, zeros):
+    # Python and numpy scalars may round the division by rho differently; each
+    # coefficient is a sum of at most d + 1 rounded terms of the solution's size
+    b = MoebiusSymbol(0, 0, beta) if c == gamma == 0 else valid_symbol(c, gamma, beta, fraction)
+    pair = pythagorean_mate(b)
+    f = sparse_poly(deg, seed, zeros)
+    got, want = fplus(f, pair), fplus_loop(f, pair)
+    assert got.shape == want.shape
+    scale = np.abs(want).max(initial=0)
+    assert np.abs(got - want).max(initial=0) <= 4 * (deg + 1) * np.finfo(float).eps * scale
+
+
 class TestHbInner:
     def test_constant(self):
         assert hb_inner([1.0], [1.0], REF) == pytest.approx(1.0)
@@ -166,6 +211,22 @@ class TestHbInner:
         for _ in range(10):
             f = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             assert hb_inner(f, f, pair).real >= hardy.h2_inner(f, f).real - 1e-12
+
+    def test_norm_makes_one_fplus_solve(self, monkeypatch):
+        calls = []
+        solve = debranges.fplus
+
+        def counting_fplus(f, pair):
+            calls.append(len(f))
+            return solve(f, pair)
+
+        pair = pythagorean_mate(MoebiusSymbol(0.1, 0.5, 0.3j))
+        k = truncated_cauchy_kernel(0.3 - 0.4j, 300)
+        monkeypatch.setattr(debranges, "fplus", counting_fplus)
+        norm = hb_inner(k, k, pair)
+        assert calls == [301]
+        assert hb_inner(k, k.copy(), pair) == norm
+        assert calls == [301] * 3
 
 
 class TestHbGram:

@@ -96,6 +96,22 @@ class TestDmuInner:
             f = rng.standard_normal(7) + 1j * rng.standard_normal(7)
             assert dmu_inner(f, f, extra).real >= dmu_inner(f, f, mu).real - 1e-12
 
+    def test_norm_makes_one_quotient_per_atom(self, monkeypatch):
+        calls = []
+        quotient = hardy.difference_quotient
+
+        def counting_quotient(f, zeta):
+            calls.append(zeta)
+            return quotient(f, zeta)
+
+        mu = PointMassMeasure(atoms=((0.5, 1.0), (np.exp(0.3j), 0.4), (-0.2j, 2.0)))
+        k = truncated_cauchy_kernel(0.3 - 0.4j, 300)
+        monkeypatch.setattr(hardy, "difference_quotient", counting_quotient)
+        norm = dmu_inner(k, k, mu)
+        assert calls == [z for z, _ in mu.atoms]
+        assert dmu_inner(k, k.copy(), mu) == norm
+        assert len(calls) == 3 * len(mu)
+
 
 class TestDmuGram:
     def test_delta0(self):

@@ -107,28 +107,39 @@ def test_graded_tails_stay_normal(build):
 
 def test_rank1_pencil_stays_normal(monkeypatch):
     # the defect column d is graded far below roundoff for small |beta|; the
-    # solve for G^-1 d must see none of those tails in G or d, and d^H G^-1 d
+    # conjugate-gradient products for G^-1 d must see none of those tails in
+    # G or in their vector operands (unflushed, the search directions of
+    # (0.5, 0.3, 0) reach 3e-211), no dense solve may run, and d^H G^-1 d
     # must still match the dense generalized eigensolve
-    seen = []
-    solve = np.linalg.solve
+    products, solves = [], []
+    matmul, solve = np.matmul, np.linalg.solve
+
+    def recording_matmul(a, b, **kwargs):
+        products.append((a, b.copy()))
+        return matmul(a, b, **kwargs)
 
     def recording_solve(a, b):
-        seen.append((a, b))
+        solves.append((a, b))
         return solve(a, b)
 
-    pair = pythagorean_mate(MoebiusSymbol(0.2, 0.1j, 0.05))
-    G = hb_gram(pair, 512).entries
-    monkeypatch.setattr(np.linalg, "solve", recording_solve)
-    cert = rank1_defect_check(G, pair)
-    monkeypatch.undo()
-    D, Gsub = defect_matrix(G), G[:-1, :-1]
-    want = scipy.linalg.eigh(D, Gsub, eigvals_only=True)[-1]
-    assert cert.passed
-    assert cert.context["eigenvalue"] == pytest.approx(want, rel=1e-12)
-    assert seen
-    for a, b in seen:
-        for x in (a, b):
-            assert np.abs(x[x != 0]).min() >= np.sqrt(np.finfo(float).tiny)
+    for symbol in [(0.2, 0.1j, 0.05), (0.5, 0.3, 0)]:
+        pair = pythagorean_mate(MoebiusSymbol(*symbol))
+        G = hb_gram(pair, 512).entries
+        products.clear()
+        monkeypatch.setattr(np, "matmul", recording_matmul)
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        cert = rank1_defect_check(G, pair)
+        monkeypatch.undo()
+        D, Gsub = defect_matrix(G), G[:-1, :-1]
+        want = scipy.linalg.eigh(D, Gsub, eigvals_only=True)[-1]
+        assert cert.passed
+        assert cert.context["eigenvalue"] == pytest.approx(want, rel=1e-12)
+        assert not solves
+        assert len(products) == cert.context["iterations"] + 1
+        for a, b in products:
+            assert a.shape == Gsub.shape
+            for x in (a, b):
+                assert np.abs(x[x != 0]).min() >= np.sqrt(np.finfo(float).tiny)
 
 
 # ---- 50-digit oracle ------------------------------------------------------

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbrlab import hardy
 
-from oracles import exact_powers, moebius_taylor, poly_eval
+from oracles import difference_quotient_loop, exact_powers, moebius_taylor, poly_eval
 
 EPS = np.finfo(float).eps
 
@@ -98,6 +100,38 @@ class TestDifferenceQuotient:
             rebuilt[1 : len(q) + 1] += q
             rebuilt[1 : len(q)] -= zeta * q[1:]
             assert np.abs(f - rebuilt).max() <= 1e-14 * np.linalg.norm(f)
+
+
+def sparse_poly(deg, seed, zeros):
+    """Random complex coefficients of degree <= deg, a fraction `zeros` of them 0."""
+    rng = np.random.default_rng(seed)
+    f = random_poly(rng, deg)
+    f[rng.uniform(size=deg + 1) < zeros] = 0
+    return f
+
+
+disk_point = st.one_of(
+    st.just(0j),
+    st.floats(0, 2 * np.pi).map(lambda t: complex(np.exp(1j * t))),  # |zeta| = 1
+    st.tuples(st.floats(0, 1), st.floats(0, 2 * np.pi)).map(
+        lambda rt: complex(rt[0] * np.exp(1j * rt[1]))
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    deg=st.integers(0, 600),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.sampled_from([0.0, 0.3, 1.0]),
+    zeta=disk_point,
+)
+def test_difference_quotient_is_the_numpy_scalar_loop(deg, seed, zeros, zeta):
+    # the same recurrence on Python complex scalars rounds exactly as on numpy
+    # scalars: complex products and sums are the same IEEE operations
+    f = sparse_poly(deg, seed, zeros)
+    got = hardy.difference_quotient(f, zeta)
+    assert got.tobytes() == difference_quotient_loop(f, zeta).tobytes()
 
 
 class TestMoebiusTaylor:

@@ -24,7 +24,13 @@ from dbrlab.operators import (
 from dbrlab.synthesis import synthesized_pair
 from dbrlab.debranges import hb_gram
 
-from oracles import binomial_form, dmu_forms_closed, ratio_witness_dense, symbol_taylor
+from oracles import (
+    binomial_form,
+    dmu_forms_closed,
+    pencil_top_dense,
+    ratio_witness_dense,
+    symbol_taylor,
+)
 from test_dirichlet import random_measure
 
 EPS = np.finfo(float).eps
@@ -404,6 +410,46 @@ class TestRank1Defect:
             cert = rank1_defect_check(hb_gram(pair, 256), pair)
             assert cert.passed
             assert cert.context["reference"] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_jacobi_settles_boundary_pairs_in_few_steps(self, alpha):
+        # a boundary atom gives the worst-conditioned Grams of the class
+        # (||G||_1 ~ 1e5 at N = 512): the Jacobi-preconditioned iteration takes
+        # 42-53 steps there, plain CG 180-285
+        pair = synthesized_pair(alpha, np.exp(0.7j))
+        cert = rank1_defect_check(hb_gram(pair, 512), pair)
+        assert cert.passed and cert.context["route"] == "cg"
+        assert cert.context["iterations"] <= 512 // 4
+
+
+unit_phase = st.floats(0, 2 * np.pi).map(lambda t: complex(np.exp(1j * t)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pair=st.one_of(
+        st.tuples(
+            st.tuples(st.floats(0.1, 1), unit_phase).map(lambda rt: rt[0] * rt[1]),
+            st.tuples(st.floats(0.1, 1), unit_phase).map(lambda rt: rt[0] * rt[1]),
+            st.tuples(st.floats(0, 0.9), unit_phase).map(lambda rt: rt[0] * rt[1]),
+            st.floats(0.05, 0.99),
+        ).map(lambda a: pythagorean_mate(valid_symbol(*a))),
+        st.tuples(st.floats(0.2, 2), unit_phase).map(lambda a: synthesized_pair(*a)),
+    ),
+    N=st.integers(2, 600),
+)
+def test_pencil_eigenvalue_brackets_the_dense_solve(pair, N):
+    # the exact theta lies in [eigenvalue, eigenvalue + bound]; both routes
+    # round their (N - 1)-term dot products, and the LU oracle errs by up to
+    # ~kappa eps theta, kappa <= ||G||_1 as G >= I
+    G = hb_gram(pair, N).entries
+    cert = rank1_defect_check(G, pair)
+    want = pencil_top_dense(G)
+    theta, bound = cert.context["eigenvalue"], cert.context["bound"]
+    slack = (N + np.abs(G[:-1, :-1]).sum(axis=0).max()) * EPS * want
+    assert theta - slack <= want <= theta + bound + slack
+    assert cert.context["route"] == "cg"
+    assert cert.context["iterations"] <= N - 1
 
 
 # ---- NSD verdict: one Cholesky factorization against the top eigenvalue ----
