@@ -15,6 +15,7 @@ floats); exit status is 0 exactly when every emitted certificate passes.
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -405,9 +406,20 @@ def build_parser():
     return parser
 
 
+def _join_signed_values(argv):
+    """`--alpha -0.3+0.2i` as `--alpha=-0.3+0.2i`, which argparse takes for an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--alpha", "--lambda") and re.match(r"-\.?\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         args.tol_overrides = _parse_tols(args.tols)
     except argparse.ArgumentTypeError as e:

@@ -121,7 +121,7 @@ def dmu_gram(mu, n):
     independently rounded powers make it do. The order-n form, the n-th
     Pascal difference of G, amplifies that error by up to 2^n; from
     running products it stays close enough to the form's exact low rank
-    for the NSD sketch to decide it.
+    for the NSD factor to decide it.
     """
     n = int(n)
     if n < 1:

@@ -16,7 +16,6 @@ from .operators import (
     RANK_TOL,
     Certificate,
     _residual_squares,
-    _sketch,
     _sketch_rank,
     defect_matrix,
 )
@@ -50,18 +49,17 @@ def recover_atoms(M, k=None, rank_tol=RANK_TOL):
     k is the expected atom count; when omitted it is set to the numerical
     rank of M, that of its Hermitian part H at rank_tol: the number of
     |eigenvalues| of H above rank_tol times the largest, decided once by
-    `_sketch_rank`: by its certified sketch, without an N x N eigensolve,
-    when the rank is small, and by the SVD of H only when the sketch leaves
-    it undecided. k < 0 raises RecoveryError. Requires at least k+1 rows of
-    moments.
+    `_sketch_rank`: by its certified pivoted Cholesky factor H ~ L L^H,
+    without an N x N eigensolve, when the rank is small, and by the SVD of
+    H only when the factor leaves it undecided. k < 0 raises RecoveryError.
+    Requires at least k+1 rows of moments.
 
     The column space used for the locations is that of the k largest-|eigenvalue|
-    directions of H, found without an N x N eigensolve: the Ritz basis of the
-    rank sketch, Q times the eigenvectors of the small S = Q^H H Q with the k
-    largest |eigenvalues| (Rayleigh-Ritz). Q spans two subspace-iteration
-    steps from a fixed pseudo-random start, so the output is deterministic;
-    it has the rank sketch's columns, or k of its own (`_sketch`) when k is
-    larger.
+    directions of H. When the factor has at least k columns they come
+    without an N x N eigensolve, as its deterministic Ritz basis: Q times
+    the eigenvectors of the small S = R R^H with the k largest |eigenvalues|,
+    where L = Q R (Rayleigh-Ritz on L L^H). With fewer factor columns than
+    k the basis is that of a dense eigh of H.
     For the moment matrix of a positive measure these are its k positive
     eigenvalues. For a signed input the negative directions count by their
     size too, unlike a basis of the top k algebraic eigenvectors: the fit
@@ -99,11 +97,12 @@ def recover_atoms(M, k=None, rank_tol=RANK_TOL):
     if N < k + 1:
         raise RecoveryError(f"need at least {k + 1} moment rows for {k} atoms")
 
-    if k > Q.shape[1]:
-        Q, S = _sketch(H, k)
+    ritz = k <= Q.shape[1]
+    lam, W = np.linalg.eigh(S if ritz else H)
     del H
-    lam, W = np.linalg.eigh(S)
-    U = Q @ W[:, np.argsort(-np.abs(lam))[:k]]
+    U = W[:, np.argsort(-np.abs(lam))[:k]]
+    if ritz:
+        U = Q @ U
 
     # column space is Vandermonde: U shifted down one row = U times Phi
     Phi, *_ = np.linalg.lstsq(U[:-1, :], U[1:, :], rcond=None)

@@ -19,16 +19,16 @@ NSD_TOL = 1e-10
 RANK_TOL = 1e-8
 # a matrix whose sigma_1 is at most this has numerical rank 0
 ZERO_SIGMA = 1e-300
-# numerical_rank decides ranks up to SKETCH_COLS from a sketch, larger ones by SVD
+# the factor of `_cholesky_factor` takes at most this many columns; numerical_rank
+# decides larger ranks by SVD
 SKETCH_COLS = 8
-# c in the rounding allowance c * p * (p + 2) * eps * (1 + delta) * ||S||_F of a
-# p-column sketch: the two length-p complex products that form Q S Q^H
-# (at most sqrt(2) p (p + 2) eps, Higham 2002, sec. 3.5-3.6, with
-# ||Q||_F^2 <= p (1 + delta)) and the backward error of the p x p eigvalsh
-# of S (Householder tridiagonalization, ch. 19), with room
+# c in the rounding allowances of the factor's residual (the length-p complex
+# products of L L^H, at most sqrt(2) (p + 2) eps / 2 of |L||L|^T entrywise,
+# Higham 2002, sec. 3.5-3.6) and of the rank's QR and p x p eigvalsh (ch. 19),
+# with room
 SKETCH_ROUNDING = 3
 # rows formed at a time by the blocked loops (the Pascal panels of the
-# forms, the residuals of the sketch and of the recovery), so that no N x N
+# forms, the residuals of the factor and of the recovery), so that no N x N
 # temporary is allocated
 BLOCK_ROWS = 64
 
@@ -136,21 +136,18 @@ def _pascal_panels(A, n_max):
 def certify_nsd(B, tol=NSD_TOL, order=None):
     """Certify a Hermitian form negative semidefinite: its top eigenvalue is <= tol.
 
-    H is the Hermitian part of B. First the sketch of `_sketch_residual`
-    gives (Q, S, e, delta) in O(N^2) work; H - Q S Q^H is the Hermitian
-    part of B - Q S Q^H, whose 2-norm e bounds, so Weyl's inequality gives
-    lambda_max(H) <= lambda_max(Q S Q^H) + e, and by Ostrowski's theorem
-    lambda_max(Q S Q^H) <= max(lambda_max(S), 0) * ||Q||_2^2 with
-    ||Q||_2^2 <= 1 + delta. The certificate passes on the sketch route when
-    that bound, max(lambda_max(S), 0) * (1 + delta) + e, is <= tol; e covers
-    the rounding of the products, of the residual's norm and of the p x p
-    eigvalsh (SKETCH_ROUNDING). A low-rank form, as every form of an atomic
-    measure is, decides here.
+    H is the Hermitian part of B. First `_cholesky_factor` gives, in O(N^2)
+    work, -H ~ L L^H and e >= ||B + L L^H||_F >= ||H + L L^H||_2. As -L L^H
+    is NSD, Weyl's inequality gives lambda_max(H) <= e: the certificate
+    passes on the factor's route when e <= tol, as it does for every form
+    of an atomic measure, which has low rank. A transposed view (as
+    `hyperexpansive_form` returns) is factored as its C-ordered transpose,
+    whose Hermitian part H^T has the same spectrum.
 
     A form with a NaN or infinite entry raises ValueError: its bound is
-    non-finite, and no route can decide it. When the sketch does not decide
+    non-finite, and no route can decide it. When the factor does not decide
     (a full-rank or non-Hermitian form, a top eigenvalue near tol, a bound
-    that overflows), the sketch is released and one Cholesky
+    that overflows), the factor is released and one Cholesky
     factorization of tol*I - H decides: it succeeds only when every
     eigenvalue of H lies below tol (Rump, "Verification of positive
     definiteness", BIT 2006). On PASS, by either route, the witness is
@@ -158,11 +155,11 @@ def certify_nsd(B, tol=NSD_TOL, order=None):
     When the factorization fails, eigvalsh(H) gives the top eigenvalue as
     the witness and the verdict top <= tol. context["witness"] names which
     of the two, "diagonal" or "eigenvalue", was reported; context["route"]
-    names the deciding route, "sketch" or "cholesky", and context["bound"]
-    is the sketch's bound; order only labels context["order"].
+    names the deciding route, "sketch" (the factor) or "cholesky", and
+    context["bound"] is e; order only labels context["order"].
     """
     A = np.asarray(B, dtype=complex)
-    bound = _nsd_bound(A)
+    bound = _cholesky_factor(A.T if A.flags.f_contiguous else A, -1)[1]
     if not np.isfinite(bound) and not np.isfinite(A).all():
         raise ValueError("form has a NaN or infinite entry")
     route = "sketch" if bound <= tol else "cholesky"
@@ -184,16 +181,6 @@ def certify_nsd(B, tol=NSD_TOL, order=None):
     return Certificate("nsd", True, witness, tol, context)
 
 
-def _nsd_bound(A):
-    """The sketch's bound max(lambda_max(S), 0) * (1 + delta) + e on the top
-    eigenvalue of the Hermitian part of A; its arrays die on return."""
-    _, S, e, delta = _sketch_residual(A, min(SKETCH_COLS, A.shape[0]))
-    if not np.isfinite(e):  # NaN or inf in A: no eigvalsh of S
-        return e
-    top = np.linalg.eigvalsh(S).max(initial=0.0)
-    return float(top * (1 + delta) + e)
-
-
 def defect_matrix(G):
     """D[i][j] = G[i+1][j+1] - G[i][j]: the Gram of the shift defect T*T - I."""
     A = _entries(G)
@@ -202,65 +189,57 @@ def defect_matrix(G):
     return A[1:, 1:] - A[:-1, :-1]
 
 
-def _start_block(n, k):
-    """Fixed pseudo-random n x k block of unit-modulus entries.
+def _cholesky_factor(A, s):
+    """(L, e): a diagonal-pivoted Cholesky factor s H ~ L L^H of the square A,
+    H = (A + A^H)/2 and s = 1 or -1, and e >= ||A - s L L^H||_F.
 
-    The phases are SplitMix64 outputs (Steele, Lea & Flood, OOPSLA 2014) of
-    1, 2, ..., n*k, written in numpy so that a rank decision or a recovery
-    does not import numpy.random (~13 ms and ~6 MB in a fresh process).
-    """
-    z = np.arange(1, n * k + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    phase = (z >> np.uint64(11)).astype(float) * 2.0**-53
-    return np.exp(2j * np.pi * phase).reshape(n, k)
+    Each step pivots on the largest diagonal entry d_i of s H - L L^H, reads
+    one column of H and appends l = (s H - L L^H) e_i / sqrt(d_i) to L
+    (Higham 2002, sec. 10.3; Harbrecht, Peters & Schneider 2012). It stops
+    after SKETCH_COLS columns, at a pivot <= 0 or <= 1e-13 of the first, or
+    before a column that would drive some d_j below -0.1 d_i: what is left
+    is then roundoff, not a PSD Schur complement, and pivoting into it only
+    inflates e. An s H of rank k <= SKETCH_COLS, as every form and defect
+    of a k-atomic measure is, takes k columns.
 
-
-def _sketch(A, p):
-    """(Q, S): p columns from `_start_block`, two subspace-iteration steps
-    on A, each followed by a QR, and S the Hermitian part of Q^H A Q."""
-    Q = _start_block(A.shape[0], p)
-    for _ in range(2):
-        Q, _ = np.linalg.qr(A @ Q)
-    S = Q.conj().T @ (A @ Q)
-    return Q, (S + S.conj().T) / 2
-
-
-def _sketch_residual(A, p):
-    """(Q, S, e, delta): the `_sketch` (Q, S) of the square A with p columns,
-    e >= ||A - Q S Q^H||_2 and delta >= ||Q^H Q - I||_2.
-
-    S is exactly Hermitian (its two triangles round alike), and
-    Q S Q^H - A is evaluated BLOCK_ROWS rows at a time, summing squared
-    norms, so no N x N array is allocated. e is that Frobenius norm, times
-    1 + (N + 2)^2 eps for the rounding of the sum of 2 N^2 squares and of
-    the subtraction, plus SKETCH_ROUNDING * p * (p + 2) * eps * (1 + delta)
-    * ||S||_F for the products and the p x p eigvalsh of S; its callers may
-    take eigvalsh(S) as exact. Those relative terms fail in the subnormal
-    range, where each operation errs by up to half the smallest subnormal
-    t: a norm below 2^-484 is summed again with the residual scaled by
-    2^600, as the squares of entries below ~2^-537 underflow, and e adds
-    8 N p (p + 2) t for the absolute roundings of the products, at least
-    sqrt(2) N times the ~8 p (sqrt(p) + 1) t/2 of each entry. delta is
-    ||fl(Q^H Q) - I||_F plus 2 (N + 2) p eps for that product (Higham
-    2002, sec. 3.5): it only scales terms, so its N-dependence costs
-    nothing.
+    e is the residual of the computed L, evaluated BLOCK_ROWS rows at a
+    time, so no N x N array is allocated, times 1 + (N + 2)^2 eps for the
+    rounding of the sum of 2 N^2 squares and of the subtraction, plus
+    SKETCH_ROUNDING (p + 2) eps ||L||_F^2 for the length-p products of
+    L L^H. Those relative terms fail in the subnormal range, where each
+    operation errs by up to half the smallest subnormal t: a norm below
+    2^-484 is summed again with the residual scaled by 2^600, as the squares
+    of entries below ~2^-537 underflow, and e adds 8 N p (p + 2) t for the
+    absolute roundings of the products, above N times the (4 p - 1) t of
+    each entry (8 p - 2 real operations, t/2 each).
     """
     N = A.shape[0]
-    eps = np.finfo(float).eps
-    Q, S = _sketch(A, p)
-    W = S @ Q.conj().T
-    norm = np.sqrt(_residual_squares(A, Q, W, 1.0))
+    d = s * A.diagonal().real
+    floor = 1e-13 * d.max(initial=0.0)  # NaN if the diagonal holds one: no pivot passes
+    Lt = np.empty((min(SKETCH_COLS, N), N), dtype=complex)  # the columns of L
+    p = 0
+    while p < len(Lt):
+        i = int(np.argmax(d))
+        pivot = d[i]
+        if not pivot > floor:
+            break
+        col = A[:, i] + np.conj(A[i])
+        col *= 0.5 * s
+        col -= Lt[:p].T @ np.conj(Lt[:p, i])
+        col /= np.sqrt(pivot)
+        rest = d - (col.real**2 + col.imag**2)
+        if rest.min() < -0.1 * pivot:
+            break
+        Lt[p], d = col, rest
+        p += 1
+    L, W = Lt[:p].T, np.conj(Lt[:p])
+    norm = np.sqrt(_residual_squares(A, s * L, W, 1.0))
     if norm < 2.0**-484:
-        norm = np.sqrt(_residual_squares(A, Q, W, 2.0**600)) * 2.0**-600
-    D = Q.conj().T @ Q
-    D[np.diag_indices_from(D)] -= 1
-    delta = float(np.linalg.norm(D)) + 2 * (N + 2) * p * eps
-    rounding = SKETCH_ROUNDING * p * (p + 2) * eps * (1 + delta) * np.linalg.norm(S)
+        norm = np.sqrt(_residual_squares(A, s * L, W, 2.0**600)) * 2.0**-600
+    eps = np.finfo(float).eps
+    rounding = SKETCH_ROUNDING * (p + 2) * eps * np.vdot(W, W).real
     subnormal = 8 * N * p * (p + 2) * np.finfo(float).smallest_subnormal
-    e = float(norm * (1 + (N + 2) ** 2 * eps) + rounding + subnormal)
-    return Q, S, e, delta
+    return L, float(norm * (1 + (N + 2) ** 2 * eps) + rounding + subnormal)
 
 
 def _residual_squares(A, Q, W, scale):
@@ -277,21 +256,25 @@ def _residual_squares(A, Q, W, scale):
 
 
 def _sketch_rank(M, tau):
-    """(count, Q, S): the count of numerical_rank, from the `_sketch_residual`
-    (Q, S, e, delta) of M with SKETCH_COLS columns when that settles it, else
-    from the SVD of M.
+    """(count, Q, S): the count of numerical_rank, from the `_cholesky_factor`
+    M ~ L L^H (s = 1) when that settles it, else from the SVD of M; Q R = L
+    is the QR of the factor and S = R R^H.
 
-    Every singular value of M lies within e of the matching one of
-    Q S Q^H (Weyl/Mirsky). Those are |eigenvalues of S|, each scaled by a
-    factor in [1 - delta, 1 + delta] (Ostrowski), padded with zeros; so
-    every singular value of M lies within e' = e + delta * (m + e) of the
-    matching |eig S| or zero, m = max |eig S|. Hence sigma_1 lies in
-    [m - e', m + e'], tau * sigma_1 in [lo, hi] = [tau (m - e'), tau (m + e')],
-    and the sketch's count is exact when the padding zeros lie below it
-    (e' < lo) and no |eig S| lies within e' of that interval. sigma_1 <= m + e'
-    also certifies a zero count when m + e' <= ZERO_SIGMA. An empty M has
-    count 0 and a non-square one goes straight to the SVD: Q and S are then
-    None.
+    Every singular value of M lies within e of the matching one of L L^H
+    (Weyl/Mirsky), and those are the eigenvalues of L^H L, padded with
+    zeros. Householder QR gives L + dL = Q' R with Q' unitary and
+    ||dL||_F <= h = SKETCH_ROUNDING (N + 2) p eps ||L||_F (Higham 2002,
+    thm. 19.4), so sigma_i(R)^2 lies within h (2 ||L||_F + h) of
+    sigma_i(L)^2; the product R R^H and its p x p eigvalsh add
+    SKETCH_ROUNDING p (p + 2) eps (||L||_F + h)^2. So every singular value
+    of M lies within e' of the matching |eig S| or zero, with e' the sum of
+    the three. Let m = max |eig S|: sigma_1 lies in [m - e', m + e'],
+    tau * sigma_1 in [lo, hi] = [tau (m - e'), tau (m + e')], and the
+    factor's count is exact when the padding zeros lie below it (e' < lo)
+    and no |eig S| lies within e' of that interval. sigma_1 <= m + e' also
+    certifies a zero count when m + e' <= ZERO_SIGMA. An empty M has count
+    0 and a non-square one goes straight to the SVD: Q and S are then None.
+    A NaN or infinite entry raises ValueError.
     """
     if not 0 < tau < 1:
         raise ValueError("relative threshold must lie in (0, 1)")
@@ -300,16 +283,22 @@ def _sketch_rank(M, tau):
         return 0, None, None
     Q = S = None
     if M.shape[1] == N:
-        Q, S, e, delta = _sketch_residual(M, min(SKETCH_COLS, N))
+        L, e = _cholesky_factor(M, 1)
+        Q, R = np.linalg.qr(L)
+        S = R @ R.conj().T
         lam = np.abs(np.linalg.eigvalsh(S))
-        m = float(lam.max())
-        e += delta * (m + e)
+        m = float(lam.max(initial=0.0))
+        F, eps, p = float(np.linalg.norm(L)), np.finfo(float).eps, L.shape[1]
+        h = SKETCH_ROUNDING * (N + 2) * p * eps * F
+        e += h * (2 * F + h) + SKETCH_ROUNDING * p * (p + 2) * eps * (F + h) ** 2
         if m + e <= ZERO_SIGMA:
             return 0, Q, S
         lo, hi = tau * (m - e), tau * (m + e)
         if m > ZERO_SIGMA and e < lo and not np.any((lam >= lo - e) & (lam <= hi + e)):
             return int(np.count_nonzero(lam > hi)), Q, S
     s = np.linalg.svd(M, compute_uv=False)
+    if not np.isfinite(s).all():  # an inf in M; a NaN makes the SVD raise
+        raise ValueError("matrix has a NaN or infinite entry")
     rank = 0 if s[0] <= ZERO_SIGMA else int(np.count_nonzero(s > tau * s[0]))
     return rank, Q, S
 
@@ -317,10 +306,10 @@ def _sketch_rank(M, tau):
 def numerical_rank(M, tau=RANK_TOL):
     """Number of singular values above tau * sigma_1; 0 for the zero matrix.
 
-    Decided by a certified sketch of SKETCH_COLS columns (`_sketch_rank`,
-    O(N^2) work) when that settles the count exactly; a full SVD only when
-    it does not: rank above SKETCH_COLS, a singular value near the
-    threshold, strongly non-Hermitian or non-square M.
+    Decided by a certified pivoted Cholesky factor (`_sketch_rank`, O(N^2)
+    work) when that settles the count exactly, else by a full SVD: rank
+    above SKETCH_COLS, a singular value near the threshold, indefinite,
+    strongly non-Hermitian or non-square M.
     """
     return _sketch_rank(np.asarray(M, dtype=complex), tau)[0]
 

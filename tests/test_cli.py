@@ -39,9 +39,9 @@ def test_import_loads_no_scipy():
 
 
 def test_recover_loads_no_numpy_random(tmp_path):
-    # the rank sketch, the NSD sketch and the recovery basis start from
-    # SplitMix64 phases, not numpy.random (~13 ms and ~6 MB more per CLI call);
-    # neither command may pull in scipy
+    # the rank, the NSD bound and the recovery basis need no random start:
+    # numpy.random would add ~13 ms and ~6 MB to every CLI call; neither
+    # command may pull in scipy
     env = dict(os.environ, PYTHONPATH=str(Path(dbrlab.__file__).parents[1]))
     path = write_measure(tmp_path, PointMassMeasure(atoms=((0.5, 1.0), (0.3 + 0.4j, 2.0))))
     code = (
@@ -130,6 +130,24 @@ def test_out_of_range_input_exits_2(tmp_path, capsys, argv):
         main([a.format(**files) for a in argv])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, alpha, lam, rest",
+    [
+        ("synthesize", "1", "-0.3+0.2i", []),
+        ("synthesize", "-1-0.5i", "-0.6j", []),
+        ("verify-equality", "-1+0.5i", "-0.3+0.2i", ["--size", "8"]),
+        ("kernel-norms", "-0.5+1i", "-.2-0.4j", ["--points", "2"]),
+    ],
+)
+def test_negative_real_part_as_separate_argument(capsys, command, alpha, lam, rest):
+    # argparse takes '-0.3+0.2i' for an option; the value may follow its flag
+    # as a separate argument, with the output of the '--flag=value' form
+    assert main([command, "--alpha", alpha, "--lambda", lam, *rest]) == 0
+    separate = capsys.readouterr().out
+    assert main([command, f"--alpha={alpha}", f"--lambda={lam}", *rest]) == 0
+    assert capsys.readouterr().out == separate
 
 
 class TestParseComplex:
@@ -297,9 +315,10 @@ class TestCertify:
             assert c["context"]["witness"] == "diagonal"
 
     def test_overflowing_bound_is_strict_json(self, tmp_path, capsys):
-        # weight 1e160 overflows the sketch bound of both forms; strict JSON
-        # has no Infinity, so the bound is written as the string "inf"
-        path = write_measure(tmp_path, PointMassMeasure.single(0.5, 1e160))
+        # weight 1e200 overflows the factor's bound of both forms (its residual,
+        # ~1e185, has squares beyond the float range); strict JSON has no
+        # Infinity, so the bound is written as the string "inf"
+        path = write_measure(tmp_path, PointMassMeasure.single(0.5, 1e200))
         with np.errstate(over="ignore"):
             main(["certify", "--measure", path, "--size", "16", "--n-max", "2"])
 

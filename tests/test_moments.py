@@ -5,7 +5,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dbrlab.dirichlet import PointMassMeasure, moment_matrix
-from dbrlab.operators import _start_block
 from dbrlab.moments import (
     RecoveryError,
     match_atoms,
@@ -94,22 +93,6 @@ class TestRecoverAtoms:
         a, b = recover_atoms(M), recover_atoms(M)
         assert np.array(a.measure.atoms).tobytes() == np.array(b.measure.atoms).tobytes()
         assert (a.residual, a.condition) == (b.residual, b.condition)
-
-    def test_start_block_is_splitmix64(self):
-        def splitmix64(i):
-            # the reference generator in Python integers, state i * golden gamma
-            mask = 2**64 - 1
-            z = (i * 0x9E3779B97F4A7C15) & mask
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-            return z ^ (z >> 31)
-
-        assert splitmix64(1) == 0xE220A8397B1DCDAF  # its published first output
-        B = _start_block(300, 4)
-        want = [np.exp(2j * np.pi * (splitmix64(i) >> 11) * 2.0**-53) for i in range(1, 1201)]
-        assert np.abs(B.ravel() - np.array(want)).max() <= 1e-15
-        # a start well spread over the column space: near-orthogonal columns
-        assert np.linalg.cond(B) < 1.5
 
     def test_well_separated_random(self):
         rng = np.random.default_rng(40)

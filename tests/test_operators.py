@@ -12,7 +12,7 @@ from dbrlab.moments import recover_atoms
 from dbrlab.operators import (
     BLOCK_ROWS,
     SKETCH_COLS,
-    _sketch_residual,
+    _cholesky_factor,
     certify_nsd,
     defect_matrix,
     hyperexpansive_form,
@@ -212,6 +212,18 @@ class TestDefectAndRank:
     def test_empty_matrix(self):
         assert numerical_rank(np.zeros((0, 0))) == 0
 
+    @pytest.mark.parametrize("shape, entry, value", [
+        ((20, 20), (2, 2), np.inf), ((20, 20), (3, 7), np.inf), ((20, 20), (5, 5), np.nan),
+        ((9, 5), (2, 2), np.inf),
+    ])
+    def test_non_finite_matrix_is_rejected(self, shape, entry, value):
+        # the SVD of a matrix holding inf returns NaN singular values without
+        # raising; they must not count as rank 0
+        M = np.eye(*shape, dtype=complex)
+        M[entry] = value
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            numerical_rank(M)
+
 
 def spy(monkeypatch, name):
     """Record the shape of every np.linalg.<name> argument."""
@@ -227,7 +239,7 @@ def spy(monkeypatch, name):
 
 class TestSketchRank:
     def test_more_atoms_than_sketch_columns(self, monkeypatch):
-        # two light atoms beyond the 8 the sketch can hold: its residual is
+        # two light atoms beyond the 8 the factor can hold: its residual is
         # far below the heavy eigenvalues but far above tau * sigma_1
         locs = 0.9 * np.exp(2j * np.pi * np.arange(10) / 10)
         mu = PointMassMeasure(atoms=tuple(zip(locs, [1.0] * 8 + [1e-3] * 2)))
@@ -236,19 +248,21 @@ class TestSketchRank:
         assert svds == [(40, 40)]
 
     def test_recovery_decides_the_rank_with_one_sketch(self, monkeypatch):
-        # the undecided 8-column sketch goes straight to the SVD of the same
-        # matrix; then k = 10 sketch columns and one Vandermonde QR
+        # the undecided 8-column factor goes straight to the SVD of the same
+        # matrix; k = 10 exceeds its columns, so the basis comes from one
+        # dense eigh, then one Vandermonde QR
         locs = 0.9 * np.exp(2j * np.pi * np.arange(10) / 10)
         mu = PointMassMeasure(atoms=tuple(zip(locs, [1.0] * 8 + [1e-3] * 2)))
         M = moment_matrix(mu, 40)
-        qrs, svds = spy(monkeypatch, "qr"), spy(monkeypatch, "svd")
+        qrs, svds, eighs = spy(monkeypatch, "qr"), spy(monkeypatch, "svd"), spy(monkeypatch, "eigh")
         assert len(recover_atoms(M).measure) == 10
-        assert qrs == [(40, SKETCH_COLS)] * 2 + [(40, 10)] * 3
+        assert qrs == [(40, SKETCH_COLS), (40, 10)]
         assert svds == [(40, 40)]
+        assert eighs == [(40, 40)]
 
     def test_margin_below_rounding_goes_to_svd(self, monkeypatch):
-        # sigma_2 clears tau * sigma_1 by 1e-13, inside the sketch's allowance
-        # for the loss of orthogonality of Q (2 * 66 * 8 * eps ~ 2.3e-13 of
+        # sigma_2 clears tau * sigma_1 by 1e-13, inside the factor's allowance
+        # for the backward error of its QR (2 * 3 * 66 * 2 * eps ~ 1.8e-13 of
         # sigma_1) though far above its real error
         M = np.diag([1.0, 1e-8 + 1e-13] + [0.0] * 62)
         svds = spy(monkeypatch, "svd")
@@ -283,12 +297,13 @@ class TestSketchRank:
         D = defect_matrix(dmu_gram(PointMassMeasure(atoms=tuple(atoms)), 512))
         svds, eigs = spy(monkeypatch, "svd"), spy(monkeypatch, "eigvalsh")
         assert numerical_rank(D) == k
-        qrs = spy(monkeypatch, "qr")
+        qrs, eighs = spy(monkeypatch, "qr"), spy(monkeypatch, "eigh")
         assert len(recover_atoms(D).measure) == k
-        # the two sketch steps, shared by the rank and the basis, and one Vandermonde QR
-        assert qrs == [(511, SKETCH_COLS)] * 2 + [(511, k)]
+        # a k-column factor, shared by the rank and the basis, and one Vandermonde QR
+        assert qrs == [(511, k)] * 2
         assert svds == []
-        assert eigs and all(max(shape) <= SKETCH_COLS for shape in eigs)
+        # each rank decision is one k x k eigvalsh; the Ritz basis one k x k eigh
+        assert eigs == [(k, k)] * 2 and eighs == [(k, k)]
 
 
 sketch_atom = st.tuples(
@@ -530,8 +545,8 @@ class TestSketchNsd:
         assert cert.context["bound"] >= cert.witness
 
     def test_positive_direction_outside_sketch_fails(self):
-        # eight eigenvalues -1 fill the sketch, so S is negative definite; only
-        # the residual e sees the ninth eigenvalue, 1e-3
+        # eight eigenvalues -1 fill the factor's eight columns; only the
+        # residual e sees the ninth eigenvalue, 1e-3
         A = np.diag([-1.0] * SKETCH_COLS + [1e-3] + [0.0] * 31).astype(complex)
         cert = certify_nsd(A)
         assert not cert.passed and cert.witness == pytest.approx(1e-3)
@@ -539,7 +554,7 @@ class TestSketchNsd:
 
     def test_tiny_positive_direction_outside_sketch_fails(self):
         # the same at scale 1e-200: the residual's squares underflow, so summed
-        # unscaled they gave e = 0 and a sketch PASS of a top eigenvalue 1e-220
+        # unscaled they would give e = 0 and a PASS of a top eigenvalue 1e-220
         A = 1e-200 * np.diag([-1.0] * SKETCH_COLS + [1e-20] + [0.0] * 31).astype(complex)
         cert = certify_nsd(A, tol=1e-250)
         assert not cert.passed and cert.witness == pytest.approx(1e-220)
@@ -561,7 +576,7 @@ class TestSketchNsd:
 
     def test_cholesky_route_holds_no_sketch_array(self):
         # tol*I - H, then np.linalg.cholesky's copy of it and the factor: three
-        # N x N arrays at the peak, none left over from the sketch
+        # N x N arrays at the peak, none left over from the factor
         G = three_atom_gram(513).entries
         A = hyperexpansive_form(2 * np.eye(513) - G, 1)
         N = A.shape[0]
@@ -595,16 +610,14 @@ class TestPanelMemory:
         assert peak < 1.5 * self.NN
 
 
-def exact_residual(A, Q, S):
-    """||A - Q S Q^H||_F and ||Q^H Q - I||_F of the given floats, at 40 digits."""
+def exact_residual(A, L, s):
+    """||A - s L L^H||_F of the given floats, at 40 digits."""
     with mpmath.workdps(40):
-        A, Q, S = (mpmath.matrix(X.tolist()) for X in (A, Q, S))
-        QH = Q.transpose_conj()
-        E = A - Q * S * QH
-        D = QH * Q - mpmath.eye(Q.cols)
-        return tuple(
-            float(mpmath.sqrt(mpmath.fsum(abs(x) ** 2 for x in X))) for X in (E, D)
-        )
+        E = mpmath.matrix(A.tolist())
+        if L.shape[1]:
+            L = mpmath.matrix(L.tolist())
+            E -= s * L * L.transpose_conj()
+        return float(mpmath.sqrt(mpmath.fsum(abs(x) ** 2 for x in E)))
 
 
 @settings(max_examples=120, deadline=None)
@@ -615,27 +628,49 @@ def exact_residual(A, Q, S):
 )
 @example(atoms=[(1.0, 4.472326853967332e-294, 1.0)], N=2, order=3)
 def test_sketch_residual_bounds_the_exact_residual(atoms, N, order):
-    # e and delta bound their exact values for the computed Q and S: for a
-    # form of rank <= p the residual is all roundoff, so the rounding terms
-    # must carry the bound; the example's form has subnormal entries (~1e-309)
+    # e bounds the exact residual of the computed factor: for a defect
+    # (s = 1) or form (s = -1) of rank <= SKETCH_COLS the residual is all
+    # roundoff, so the rounding terms must carry the bound; the example's
+    # form has subnormal entries (~1e-309)
     locs = [r * np.exp(1j * t) for r, t, _ in atoms]
     assume(len(set(locs)) == len(locs))
     mu = PointMassMeasure(atoms=tuple(zip(locs, (w for _, _, w in atoms))))
     G = dmu_gram(mu, N + order)
     A = defect_matrix(dmu_gram(mu, N + 1)) if order == 0 else hyperexpansive_form(G, order)
-    Q, S, e, delta = _sketch_residual(A, min(SKETCH_COLS, N))
-    residual, drift = exact_residual(A, Q, S)
-    assert residual <= e
-    assert drift <= delta
+    s = 1 if order == 0 else -1
+    L, e = _cholesky_factor(A, s)
+    assert exact_residual(A, L, s) <= e
 
 
 def test_sketch_residual_bounds_a_subnormal_residual():
-    # a rank-1 form in multiples of the smallest subnormal: each product rounds
-    # by an absolute amount that the relative terms of e do not cover
-    A = np.array([[250, 150 + 50j], [150 - 50j, 100]]) * np.finfo(float).smallest_subnormal
-    Q, S, e, delta = _sketch_residual(A, 2)
-    residual, drift = exact_residual(A, Q, S)
-    assert residual <= e and drift <= delta
+    # matrices in multiples of the smallest subnormal t, factored with one
+    # column: each product rounds by an absolute amount that the relative
+    # terms of e do not cover. The first is rank 1; the second has Schur
+    # complement -549/497 t, so its residual ~1.1 t is computed as 0.
+    for entries in ([[250, 150 + 50j], [150 - 50j, 100]], [[497, -101 - 566j], [-101 + 566j, 664]]):
+        A = np.array(entries) * np.finfo(float).smallest_subnormal
+        L, e = _cholesky_factor(A, 1)
+        assert L.shape[1] == 1
+        assert exact_residual(A, L, 1) <= e
+
+
+# well separated, two of them exactly on the circle (|z| = 1 in floating point)
+SEPARATED = ((1j, 0.7), (0.5, 1.0), (-0.3 + 0.6j, 0.4), (-1.0, 0.9), (0.2 - 0.7j, 0.6))
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_factor_takes_one_column_per_atom(k):
+    # B_n is minus the moment matrix of the weights w (1 - |z|^2)^(n-1): the
+    # factor takes one column per nonzero weight and stops there, as the
+    # Schur complement left is roundoff; the defect takes one per atom
+    mu = PointMassMeasure(atoms=SEPARATED[:k])
+    G = dmu_gram(mu, 512)
+    L, e = _cholesky_factor(defect_matrix(G), 1)
+    assert L.shape[1] == k and e <= 1e-10
+    for n, B in enumerate(hyperexpansive_forms(G, 5), 1):
+        want = sum(1 for z, _ in mu.atoms if n == 1 or abs(z) < 1)
+        L, e = _cholesky_factor(B.T, -1)
+        assert L.shape[1] == want and e <= 1e-10
 
 
 @settings(max_examples=300, deadline=None)
@@ -648,7 +683,7 @@ def test_sketch_residual_bounds_a_subnormal_residual():
 )
 def test_certify_nsd_with_a_rank_one_bump(atoms, N, order, offset, seed):
     # an NSD form plus delta v v^H, delta = tol * (1 + offset): low rank, so the
-    # sketch decides most cases and Cholesky the rest; verdicts against the top
+    # factor decides most cases and Cholesky the rest; verdicts against the top
     # eigenvalue, outside a 1e-3 relative band around tol
     locs = [r * np.exp(1j * t) for r, t, _ in atoms]
     assume(len(set(locs)) == len(locs))
@@ -690,7 +725,8 @@ def test_dmu_forms_are_weighted_moment_matrices(atoms, N):
 
 # one heavy boundary atom at N = 512: forms built from independently rounded
 # powers (z ** np.arange) were 0.03-0.06 of the scale below off their closed
-# form, and the sketch could not decide orders 1-5 (orders 2-5 were false FAILs)
+# form, and no order 1-5 was decided in O(N^2) (orders 2-5 were false FAILs);
+# the order-1 form's bound, ~6e-11, is below NSD_TOL only for the factor
 HEAVY_BOUNDARY = PointMassMeasure(atoms=((0.6 + 0.8j, 10.0), (0.3 + 0.1j, 0.5)))
 
 
@@ -712,7 +748,7 @@ def test_heavy_boundary_forms_are_near_their_closed_form(heavy_boundary, n):
     assert np.linalg.norm(B - want, 2) <= 0.02 * scale
 
 
-@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("n", range(1, 6))
 def test_heavy_boundary_forms_pass_on_the_sketch(heavy_boundary, n):
     _, forms = heavy_boundary
     cert = certify_nsd(forms[n - 1][0], order=n)
