@@ -407,10 +407,13 @@ def build_parser():
 
 
 def _join_signed_values(argv):
-    """`--alpha -0.3+0.2i` as `--alpha=-0.3+0.2i`, which argparse takes for an option."""
+    """`--alpha -0.3+0.2i` as `--alpha=-0.3+0.2i`, which argparse takes for an
+    option; also for the abbreviations argparse accepts, such as `--lam`."""
     out = []
     for arg in argv:
-        if out and out[-1] in ("--alpha", "--lambda") and re.match(r"-\.?\d", arg):
+        flag = out[-1] if out else ""
+        abbreviates = len(flag) > 2 and ("--alpha".startswith(flag) or "--lambda".startswith(flag))
+        if abbreviates and re.match(r"-\.?\d", arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hardy
-from .dirichlet import GramMatrix, _toeplitz_gram
+from .dirichlet import GramMatrix
 
 # tolerance for the exact coefficient feasibility / innerness classification
 CLASS_TOL = 1e-12
@@ -200,17 +200,18 @@ def hb_inner(f, g, pair):
 
 
 def hb_gram(pair, n):
-    """Monomial Gram matrix G[i][j] = <z^i, z^j> in H(b), size n.
+    """Monomial Gram matrix G[i][j] = <z^i, z^j> in H(b), size n, as a
+    `GramMatrix` of one generator row, the reversed (z^(n-1))+.
 
     f -> f+ commutes with the backward shift, so (z^k)+ is (z^(n-1))+ minus its
-    first n-1-k coefficients: one f+ solve gives the whole Toeplitz f+ matrix; O(n^2).
+    first n-1-k coefficients: one f+ solve, O(n), gives the whole Toeplitz
+    f+ matrix T and G = I + T T^H. Its entries cost O(n^2) when first used.
     """
     n = int(n)
     if n < 1:
         raise ValueError("Gram size must be >= 1")
     q = fplus(hardy.monomial(n - 1), pair)
-    u = np.pad(q[::-1], (n - len(q), 0))
-    return GramMatrix(entries=_toeplitz_gram(u[np.newaxis]))
+    return GramMatrix(np.pad(q[::-1], (n - len(q), 0)))
 
 
 def hb_cauchy_norm(pair, w):

@@ -9,6 +9,7 @@ Boundary atoms are fully supported: inputs are polynomials, so the
 difference quotient always exists.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,12 +69,35 @@ class PointMassMeasure:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Hermitian matrix of monomial inner products."""
+    """Hermitian monomial Gram G = I + sum_r T_r T_r^H, held as its generators.
 
-    entries: np.ndarray
+    T_r is the lower-triangular Toeplitz matrix of first column
+    generators[r], a k x N array (read-only; entries below eps times its
+    largest are flushed to zero, so the Gram and its defect stay out of
+    subnormals). The defect G[1:, 1:] - G[:-1, :-1] is exactly
+    U1^T conj(U1), U1 = generators[:, 1:]. The N x N `entries` are built by
+    `_toeplitz_gram` on first use and kept; np.asarray(G) returns them.
+    """
+
+    generators: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", np.asarray(self.entries, dtype=complex))
+        U = np.array(self.generators, dtype=complex, ndmin=2)
+        if U.ndim != 2 or U.shape[1] < 1:
+            raise ValueError("generators must be a k x N array with N >= 1")
+        # below eps * max|U| is roundoff; subnormal tails slow LAPACK down several-fold
+        U[np.abs(U) < np.finfo(float).eps * np.abs(U).max(initial=0)] = 0
+        U.setflags(write=False)
+        object.__setattr__(self, "generators", U)
+
+    @functools.cached_property
+    def entries(self):
+        return _toeplitz_gram(self.generators)
+
+    def __array__(self, dtype=None, copy=None):
+        if copy:
+            return np.array(self.entries, dtype=dtype)
+        return np.asarray(self.entries, dtype=dtype)
 
 
 def dmu_inner(f, g, mu):
@@ -90,11 +114,8 @@ def dmu_inner(f, g, mu):
 def _toeplitz_gram(U):
     """I + sum_r T_r T_r^H, T_r lower-triangular Toeplitz of first column U[r].
 
-    O(n^2 k) by C[i][j] = C[i-1][j-1] + sum_r U[r][i] conj(U[r][j]), with U's
-    tiny entries dropped (in place) so the Gram and its defect stay out of subnormals.
+    O(n^2 k) by C[i][j] = C[i-1][j-1] + sum_r U[r][i] conj(U[r][j]).
     """
-    # below eps * max|U| is roundoff; subnormal tails slow LAPACK down several-fold
-    U[np.abs(U) < np.finfo(float).eps * np.abs(U).max(initial=0)] = 0
     C = U.T @ U.conj()
     np.fill_diagonal(C, (U.real**2 + U.imag**2).sum(axis=0))  # exactly real
     for i in range(1, len(C)):
@@ -111,7 +132,9 @@ def _locations_weights(mu):
 
 
 def dmu_gram(mu, n):
-    """Monomial Gram matrix G[i][j] = <z^i, z^j> in D(mu), size n, in O(n^2 * atoms).
+    """Monomial Gram matrix G[i][j] = <z^i, z^j> in D(mu), size n, as a
+    `GramMatrix` of one generator row per atom; its entries cost O(n^2 * atoms)
+    when first used.
 
     Each atom adds T T^H, T Toeplitz of first column sqrt(w) (0, 1, zeta, zeta^2, ...).
     The powers are `hardy.powers`, a running product, whose rounding error
@@ -129,7 +152,7 @@ def dmu_gram(mu, n):
     z, w = _locations_weights(mu)
     U = np.zeros((len(mu), n), dtype=complex)
     U[:, 1:] = np.sqrt(w)[:, np.newaxis] * hardy.powers(z, n - 1)
-    return GramMatrix(entries=_toeplitz_gram(U))
+    return GramMatrix(U)
 
 
 def moment_matrix(mu, n):

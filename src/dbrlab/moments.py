@@ -58,7 +58,8 @@ def recover_atoms(M, k=None, rank_tol=RANK_TOL):
     directions of H. When the factor has at least k columns they come
     without an N x N eigensolve, as its deterministic Ritz basis: Q times
     the eigenvectors of the small S = R R^H with the k largest |eigenvalues|,
-    where L = Q R (Rayleigh-Ritz on L L^H). With fewer factor columns than
+    where L = Q R (Rayleigh-Ritz on L L^H), from the one eigensolve of S
+    that `_sketch_rank` takes for the rank. With fewer factor columns than
     k the basis is that of a dense eigh of H.
     For the moment matrix of a positive measure these are its k positive
     eigenvalues. For a signed input the negative directions count by their
@@ -82,7 +83,7 @@ def recover_atoms(M, k=None, rank_tol=RANK_TOL):
     H = np.conj(M.T, order="C")
     H += M
     H *= 0.5
-    rank, Q, S = _sketch_rank(H, rank_tol)
+    rank, Q, eig = _sketch_rank(H, rank_tol)
     k = rank if k is None else int(k)
     if k < 0:
         raise RecoveryError(f"atom count {k} must be >= 0")
@@ -98,7 +99,7 @@ def recover_atoms(M, k=None, rank_tol=RANK_TOL):
         raise RecoveryError(f"need at least {k + 1} moment rows for {k} atoms")
 
     ritz = k <= Q.shape[1]
-    lam, W = np.linalg.eigh(S if ritz else H)
+    lam, W = eig if ritz else np.linalg.eigh(H)
     del H
     U = W[:, np.argsort(-np.abs(lam))[:k]]
     if ritz:

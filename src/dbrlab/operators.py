@@ -5,9 +5,11 @@ hyperexpansivity form of the shift, compressed to span{1, ..., z^(N-1-n)},
 is the n-th iterated diagonal difference of G^T, X -> X[:-1, :-1] - X[1:, 1:]
 (Pascal's rule on the alternating binomial sum of shifted Gram blocks). The
 shift is n-hyperexpansive on the space exactly when those forms are
-negative semidefinite.
+negative semidefinite. The two H(b) checks, the ratio identity and the
+rank-1 defect, take a `GramMatrix` and read its Toeplitz generators only.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,19 +26,13 @@ ZERO_SIGMA = 1e-300
 SKETCH_COLS = 8
 # c in the rounding allowances of the factor's residual (the length-p complex
 # products of L L^H, at most sqrt(2) (p + 2) eps / 2 of |L||L|^T entrywise,
-# Higham 2002, sec. 3.5-3.6) and of the rank's QR and p x p eigvalsh (ch. 19),
+# Higham 2002, sec. 3.5-3.6) and of the rank's QR and p x p eigh (ch. 19),
 # with room
 SKETCH_ROUNDING = 3
 # rows formed at a time by the blocked loops (the Pascal panels of the
 # forms, the residuals of the factor and of the recovery), so that no N x N
 # temporary is allocated
 BLOCK_ROWS = 64
-
-
-def _entries(G):
-    if isinstance(G, GramMatrix):
-        return G.entries
-    return np.asarray(G, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -71,7 +67,7 @@ def hyperexpansive_forms(G, n_max):
     B_(n+1) = B_n[:-1, :-1] - B_n[1:, 1:] from B_0 = G^T: one subtraction
     per order. Consume it in a loop, so that only two forms are alive.
     """
-    B = _entries(G).T
+    B = np.asarray(G, dtype=complex).T
     n_max = int(n_max)
     if n_max > B.shape[0] - 1:
         raise ValueError(f"order {n_max} exceeds N - 1 = {B.shape[0] - 1}")
@@ -89,7 +85,7 @@ def hyperexpansive_form(G, n):
     of hyperexpansive_forms, bit for bit, and it is returned as the
     transpose of a C-ordered array, the layout that generator yields.
     """
-    A = _entries(G)
+    A = np.asarray(G, dtype=complex)
     N = A.shape[0]
     n = int(n)
     if not 1 <= n <= N - 1:
@@ -183,7 +179,7 @@ def certify_nsd(B, tol=NSD_TOL, order=None):
 
 def defect_matrix(G):
     """D[i][j] = G[i+1][j+1] - G[i][j]: the Gram of the shift defect T*T - I."""
-    A = _entries(G)
+    A = np.asarray(G, dtype=complex)
     if A.shape[0] < 2:
         raise ValueError("need a Gram matrix of size >= 2")
     return A[1:, 1:] - A[:-1, :-1]
@@ -256,16 +252,17 @@ def _residual_squares(A, Q, W, scale):
 
 
 def _sketch_rank(M, tau):
-    """(count, Q, S): the count of numerical_rank, from the `_cholesky_factor`
+    """(count, Q, eig): the count of numerical_rank, from the `_cholesky_factor`
     M ~ L L^H (s = 1) when that settles it, else from the SVD of M; Q R = L
-    is the QR of the factor and S = R R^H.
+    is the QR of the factor and eig = (eigenvalues, eigenvectors) the one
+    `eigh` of S = R R^H, which recovery reuses for its Ritz basis.
 
     Every singular value of M lies within e of the matching one of L L^H
     (Weyl/Mirsky), and those are the eigenvalues of L^H L, padded with
     zeros. Householder QR gives L + dL = Q' R with Q' unitary and
     ||dL||_F <= h = SKETCH_ROUNDING (N + 2) p eps ||L||_F (Higham 2002,
     thm. 19.4), so sigma_i(R)^2 lies within h (2 ||L||_F + h) of
-    sigma_i(L)^2; the product R R^H and its p x p eigvalsh add
+    sigma_i(L)^2; the product R R^H and its p x p eigh add
     SKETCH_ROUNDING p (p + 2) eps (||L||_F + h)^2. So every singular value
     of M lies within e' of the matching |eig S| or zero, with e' the sum of
     the three. Let m = max |eig S|: sigma_1 lies in [m - e', m + e'],
@@ -273,7 +270,7 @@ def _sketch_rank(M, tau):
     factor's count is exact when the padding zeros lie below it (e' < lo)
     and no |eig S| lies within e' of that interval. sigma_1 <= m + e' also
     certifies a zero count when m + e' <= ZERO_SIGMA. An empty M has count
-    0 and a non-square one goes straight to the SVD: Q and S are then None.
+    0 and a non-square one goes straight to the SVD: Q and eig are then None.
     A NaN or infinite entry raises ValueError.
     """
     if not 0 < tau < 1:
@@ -281,26 +278,26 @@ def _sketch_rank(M, tau):
     N = M.shape[0]
     if M.size == 0:
         return 0, None, None
-    Q = S = None
+    Q = eig = None
     if M.shape[1] == N:
         L, e = _cholesky_factor(M, 1)
         Q, R = np.linalg.qr(L)
-        S = R @ R.conj().T
-        lam = np.abs(np.linalg.eigvalsh(S))
+        eig = np.linalg.eigh(R @ R.conj().T)
+        lam = np.abs(eig[0])
         m = float(lam.max(initial=0.0))
         F, eps, p = float(np.linalg.norm(L)), np.finfo(float).eps, L.shape[1]
         h = SKETCH_ROUNDING * (N + 2) * p * eps * F
         e += h * (2 * F + h) + SKETCH_ROUNDING * p * (p + 2) * eps * (F + h) ** 2
         if m + e <= ZERO_SIGMA:
-            return 0, Q, S
+            return 0, Q, eig
         lo, hi = tau * (m - e), tau * (m + e)
         if m > ZERO_SIGMA and e < lo and not np.any((lam >= lo - e) & (lam <= hi + e)):
-            return int(np.count_nonzero(lam > hi)), Q, S
+            return int(np.count_nonzero(lam > hi)), Q, eig
     s = np.linalg.svd(M, compute_uv=False)
     if not np.isfinite(s).all():  # an inf in M; a NaN makes the SVD raise
         raise ValueError("matrix has a NaN or infinite entry")
     rank = 0 if s[0] <= ZERO_SIGMA else int(np.count_nonzero(s > tau * s[0]))
-    return rank, Q, S
+    return rank, Q, eig
 
 
 def numerical_rank(M, tau=RANK_TOL):
@@ -314,72 +311,104 @@ def numerical_rank(M, tau=RANK_TOL):
     return _sketch_rank(np.asarray(M, dtype=complex), tau)[0]
 
 
+def _generators(G):
+    if not isinstance(G, GramMatrix):
+        raise TypeError("needs a GramMatrix: the check runs on its Toeplitz generators")
+    return G.generators
+
+
 def ratio_identity_check(G_b, pair, n_max, tol=1e-8):
     """Verify B_n = r^(n-2) B_2 for 3 <= n <= n_max on a common block.
 
     r = 1 - |beta - a'(0)/a(0)|^2 = 1 - |sigma/rho|^2 links every
     higher-order hyperexpansivity form of the shift on H(b) to the order-2
     form. All forms are truncated to the largest common block size
-    m = N - n_max, and the norms of the differences are summed one
-    `_pascal_panels` panel at a time, so no full form is ever held.
+    m = N - n_max and read from the generators U (k x N) of the GramMatrix
+    G_b, whose entries are never built. The defect is U1^T conj(U1),
+    U1 = U[:, 1:], so on the block B_n^T = -Y P_n Y^H, with Y the
+    m x (k n_max) Hankel matrix Y[i, r n_max + j] = U1[r, i + j] and
+    P_n = I_k ⊗ diag((-1)^j C(n-1, j)), zero for j >= n. After one thin QR,
+    Y = Q R, ||B_n - r^(n-2) B_2||_F = ||R (P_n - r^(n-2) P_2) R^H||_F and
+    ||B_2||_F = ||R P_2 R^H||_F: O(m (k n_max)^2) work in all.
+    context["route"] is "generators".
     """
     n_max = int(n_max)
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
-    A = _entries(G_b)
-    m = A.shape[0] - n_max
+    U = _generators(G_b)
+    k, N = U.shape
+    m = N - n_max
     if m < 1:
-        raise ValueError(f"Gram size {A.shape[0]} too small for n_max = {n_max}")
+        raise ValueError(f"Gram size {N} too small for n_max = {n_max}")
     r = 1 - abs(pair.sigma / pair.rho) ** 2
-    # squares[n]: ||B_n - r^(n-2) B_2||_F^2 for n >= 3 and ||B_2||_F^2, on the
-    # m x m block, summed one panel at a time
-    squares = np.zeros(n_max + 1)
-    for _, n, P in _pascal_panels(A, n_max):
-        if n == 2:
-            B2 = P[:, :m].copy()
-            squares[2] += np.vdot(B2, B2).real
-        elif n > 2:
-            D = B2 * r ** (n - 2)
-            D -= P[:, :m]
-            squares[n] += np.vdot(D, D).real
-    worst = float(np.sqrt(squares[3:].max()))
-    scale = max(1.0, float(np.sqrt(squares[2])))
+    # windows[r, i, j] = U1[r, i + j]
+    windows = np.lib.stride_tricks.sliding_window_view(U[:, 1:], n_max, axis=1)[:, :m]
+    R = np.linalg.qr(windows.transpose(1, 0, 2).reshape(m, k * n_max), mode="r")
+
+    def pascal(n):
+        return np.array([(-1) ** j * math.comb(n - 1, j) for j in range(n_max)], dtype=float)
+
+    def core_norm(p):
+        return float(np.linalg.norm((R * np.tile(p, k)) @ R.conj().T))
+
+    worst = max(core_norm(pascal(n) - r ** (n - 2) * pascal(2)) for n in range(3, n_max + 1))
+    scale = max(1.0, core_norm(pascal(2)))
     return Certificate(
         kind="ratio-identity",
         passed=worst <= tol * scale,
         witness=worst,
         tolerance=tol * scale,
-        context={"ratio": r, "n_max": n_max, "block": m},
+        context={"ratio": r, "n_max": n_max, "block": m, "route": "generators"},
     )
 
 
-def _pencil_top(G, d):
-    """(theta, bound, iterations): d^H G^-1 d of a Hermitian G >= I by
+def _gram_product(F, x):
+    """G x for G = I + sum_r T_r T_r^H of size n = len(x), where F holds the
+    length-L FFTs, L >= 2n - 1, of the generator rows cut to n entries.
+
+    T_r^H x is a correlation and T_r y a convolution, each one circular
+    product by FFT; the zero padding to L keeps the wrap-around out of the
+    first n entries, the only ones kept.
+    """
+    fft = np.fft
+    n = len(x)
+    y = fft.ifft(np.conj(F) * fft.fft(x, F.shape[1]), axis=1)
+    y[:, n:] = 0
+    return x + fft.ifft((F * fft.fft(y, axis=1)).sum(axis=0))[:n]
+
+
+def _pencil_top(U, d):
+    """(theta, bound, iterations): d^H G^-1 d for the leading n = len(d) block
+    G = I + sum_r T_r T_r^H of the Gram with generator rows U, by
     Jacobi-preconditioned conjugate gradients (Hestenes & Stiefel, 1952).
 
-    Each step is one O(n^2) product with the n x n G, which is read in
-    place. The preconditioner is 1 / diag(G). Entries of a search direction
-    below eps * max|p| are flushed to zero, as `_toeplitz_gram` flushes its
-    generators: graded iterates otherwise drift into subnormals. The loop
-    stops when ||r||^2 <= eps * theta, or after n steps, where CG terminates
-    in exact arithmetic; a NaN stops it at once. Then one more product gives
-    the true residual r = d - G x, and theta = Re(d^H x) + Re(x^H r). For
-    any x the exact value is theta + r^H G^-1 r, so theta is a lower bound,
-    and when G >= I the gap is at most bound = ||r||^2.
+    That block is the Gram of U[:, :n]. Each step is one `_gram_product`,
+    T_r^H and then T_r applied as Toeplitz products by FFT, so no n x n
+    array is formed. The preconditioner is 1 / diag(G), with diag(G) one
+    plus the cumulative sum of sum_r |U[r]|^2. Entries of a search
+    direction below eps * max|p| are flushed to zero, as GramMatrix flushes
+    its generators: graded iterates otherwise drift into subnormals. The
+    loop stops when ||r||^2 <= eps * theta, or after n steps, where CG
+    terminates in exact arithmetic; a NaN stops it at once. Then one more
+    product gives the true residual r = d - G x, and
+    theta = Re(d^H x) + Re(x^H r). For any x the exact value is
+    theta + r^H G^-1 r, so theta is a lower bound, and when G >= I the gap
+    is at most bound = ||r||^2.
     """
     eps = np.finfo(float).eps
     n = len(d)
-    dinv = 1.0 / G.diagonal().real
+    U = U[:, :n]
+    F = np.fft.fft(U, 1 << (2 * n - 2).bit_length(), axis=1)
+    dinv = 1.0 / (1 + np.cumsum((U.real**2 + U.imag**2).sum(axis=0)))
     x = np.zeros_like(d)
     r = d.copy()
     p = r * dinv
     rz = np.vdot(r, p).real
-    q = np.empty_like(d)
     theta = 0.0
     k = 0
     while k < n and np.vdot(r, r).real > eps * theta:
         p[np.abs(p) < eps * np.abs(p).max()] = 0
-        np.matmul(G, p, out=q)
+        q = _gram_product(F, p)
         alpha = rz / np.vdot(p, q).real
         x += alpha * p
         r -= alpha * q
@@ -389,7 +418,7 @@ def _pencil_top(G, d):
         p *= rz / rz_old
         p += z
         k += 1
-    r = d - np.matmul(G, x, out=q)
+    r = d - _gram_product(F, x)
     theta = float(np.vdot(d, x).real + np.vdot(x, r).real)
     return theta, float(np.vdot(r, r).real), k
 
@@ -397,25 +426,33 @@ def _pencil_top(G, d):
 def rank1_defect_check(G_b, pair, tol=1e-8):
     """Verify the H(b) defect is rank 1 with eigenvalue rho^-2 ||S*b||_b^2.
 
-    The defect entries are coefficients against non-orthonormal monomials,
-    so the operator eigenvalue is the top generalized eigenvalue of the
-    pencil (defect, Gram). A rank-1 defect D = d d^H has exactly one nonzero
-    pencil eigenvalue, theta = d^H G^-1 d, G the leading N - 1 block of the
-    Gram. It is computed by Jacobi-preconditioned conjugate gradients on G
-    (`_pencil_top`, O(N^2) per step, a few steps here), which stop at a
-    reported lower bound with the exact value in [theta, theta + bound],
-    bound = ||r||^2 for the final true residual r. The bracket needs
-    lambda_min(G) >= 1, which holds on H(b): G = I + T T^H, since
-    ||f||_b >= ||f||_2 for every polynomial f. theta is compared with the
-    independent closed form: S*b = (c beta + gamma) k_w, the Cauchy kernel
-    at w = conj(beta), so
+    Runs on the generator rows U of the GramMatrix G_b, whose entries are
+    never built. The defect is D = U1^T conj(U1), U1 = U[:, 1:], so its
+    singular values are those of U1 squared, and its rank, as
+    numerical_rank counts it at RANK_TOL, comes from the SVD of the
+    k x (N - 1) U1. The defect entries are coefficients against
+    non-orthonormal monomials, so the operator eigenvalue is the top
+    generalized eigenvalue of the pencil (defect, Gram). A rank-1 defect
+    D = d d^H has exactly one nonzero pencil eigenvalue, theta = d^H G^-1 d,
+    G the leading N - 1 block of the Gram. It is computed by
+    Jacobi-preconditioned conjugate gradients on G (`_pencil_top`, Toeplitz
+    products by FFT, a few steps here), which stop at a reported lower
+    bound with the exact value in [theta, theta + bound], bound = ||r||^2
+    for the final true residual r. The bracket needs lambda_min(G) >= 1,
+    which holds on H(b): G = I + T T^H, since ||f||_b >= ||f||_2 for every
+    polynomial f. theta is compared with the independent closed form:
+    S*b = (c beta + gamma) k_w, the Cauchy kernel at w = conj(beta), so
     rho^-2 ||S*b||_b^2 = rho^-2 |c beta + gamma|^2 ||k_w||_b^2.
     context["route"] is "cg", context["iterations"] its step count and
     context["bound"] the bracket's width.
     """
-    A = _entries(G_b)
-    D = defect_matrix(A)
-    rank = numerical_rank(D)
+    U = _generators(G_b)
+    if U.shape[1] < 2:
+        raise ValueError("need a Gram matrix of size >= 2")
+    U1 = U[:, 1:]
+    _, s, Vh = np.linalg.svd(U1, full_matrices=False)
+    s2 = s**2
+    rank = 0 if s2.max(initial=0.0) <= ZERO_SIGMA else int(np.count_nonzero(s2 > RANK_TOL * s2[0]))
     b = pair.b
     q = b.c * b.beta + b.gamma
     if q == 0:
@@ -424,17 +461,17 @@ def rank1_defect_check(G_b, pair, tol=1e-8):
         return Certificate(
             kind="rank1-defect",
             passed=passed,
-            witness=float(np.abs(D).max()) if D.size else 0.0,
+            # max|D|, the largest diagonal entry of the PSD D
+            witness=float((U1.real**2 + U1.imag**2).sum(axis=0).max()),
             tolerance=tol,
             context={"rank": rank, "degenerate": True},
         )
     ref = abs(q) ** 2 * debranges.hb_cauchy_norm(pair, np.conj(b.beta)) / pair.rho**2
-    # theta = d^H G^-1 d for D = d d^H, G = A[:-1, :-1]: the column of D through its
-    # largest diagonal entry, scaled by that entry's square root, is d up to a phase.
-    # Only meaningful when rank == 1, which the verdict requires.
-    j = int(np.argmax(D.diagonal().real))
-    d = D[:, j] / np.sqrt(D[j, j].real)
-    theta, bound, iterations = _pencil_top(A[:-1, :-1], d)
+    # D = sum_i s_i^2 Vh[i]^T conj(Vh[i]), so when rank == 1, which the verdict
+    # requires, D = d d^H for d = s_1 Vh[0]: exactly U1[0] when U has one row,
+    # as an H(b) Gram has
+    d = U1[0] if len(U1) == 1 else s[:1] @ Vh[:1]
+    theta, bound, iterations = _pencil_top(U, d)
     rel = abs(theta - ref) / abs(ref)
     return Certificate(
         kind="rank1-defect",

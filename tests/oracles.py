@@ -64,13 +64,16 @@ def fplus_loop(f, pair):
     return hardy.normalize(x)
 
 
-def pencil_top_dense(G):
+def pencil_top_dense(G, d=None):
     """Top pencil eigenvalue d^H G_(N-1)^-1 d of a rank-1 H(b) defect d d^H
-    against the leading N - 1 block of the Gram G, by one dense LU solve."""
+    against the leading N - 1 block of the Gram G, by one dense LU solve.
+    d defaults to the column of the defect of G through its largest
+    diagonal entry, over that entry's square root."""
     A = np.asarray(G, dtype=complex)
-    D = defect_matrix(A)
-    j = int(np.argmax(D.diagonal().real))
-    d = D[:, j] / np.sqrt(D[j, j].real)
+    if d is None:
+        D = defect_matrix(A)
+        j = int(np.argmax(D.diagonal().real))
+        d = D[:, j] / np.sqrt(D[j, j].real)
     return float(np.vdot(d, np.linalg.solve(A[:-1, :-1], d)).real)
 
 

@@ -142,12 +142,16 @@ def test_out_of_range_input_exits_2(tmp_path, capsys, argv):
     ],
 )
 def test_negative_real_part_as_separate_argument(capsys, command, alpha, lam, rest):
-    # argparse takes '-0.3+0.2i' for an option; the value may follow its flag
-    # as a separate argument, with the output of the '--flag=value' form
+    # argparse takes '-0.3+0.2i' for an option; the value may follow its flag,
+    # or any abbreviation of it argparse accepts, as a separate argument, with
+    # the output of the '--flag=value' form
     assert main([command, "--alpha", alpha, "--lambda", lam, *rest]) == 0
     separate = capsys.readouterr().out
     assert main([command, f"--alpha={alpha}", f"--lambda={lam}", *rest]) == 0
     assert capsys.readouterr().out == separate
+    for a, l in [("--alph", "--lam"), ("--a", "--l")]:
+        assert main([command, a, alpha, l, lam, *rest]) == 0
+        assert capsys.readouterr().out == separate
 
 
 class TestParseComplex:

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from dbrlab import hardy
+from dbrlab import dirichlet, hardy
 from dbrlab.dirichlet import (
+    GramMatrix,
     PointMassMeasure,
     dmu_cauchy_norm,
     dmu_gram,
@@ -150,6 +151,38 @@ class TestDmuGram:
             G = dmu_gram(mu, N + 1).entries
             M = moment_matrix(mu, N)
             assert np.abs(G[1:, 1:] - G[:-1, :-1] - M).max() <= 1e-12
+
+
+class TestGramMatrix:
+    def test_entries_built_once_on_first_use(self, monkeypatch):
+        builds = []
+        build = dirichlet._toeplitz_gram
+
+        def counting_build(U):
+            builds.append(U.shape)
+            return build(U)
+
+        monkeypatch.setattr(dirichlet, "_toeplitz_gram", counting_build)
+        G = dmu_gram(PointMassMeasure(atoms=((0.5, 1.0), (-0.3j, 2.0))), 6)
+        assert builds == [] and G.generators.shape == (2, 6)
+        A = np.asarray(G)
+        assert A is G.entries and np.asarray(G, dtype=complex) is A
+        assert builds == [(2, 6)]
+        assert np.array(G, copy=True) is not A
+
+    def test_generators_are_flushed_and_read_only(self):
+        u = np.array([1.0, 1e-17, 0.5j, -1e-300])
+        G = GramMatrix(u)
+        assert G.generators.shape == (1, 4)
+        assert np.array_equal(G.generators[0], [1.0, 0, 0.5j, 0])
+        assert u[1] == 1e-17  # the caller's array is not touched
+        with pytest.raises(ValueError):
+            G.generators[0, 0] = 2
+
+    @pytest.mark.parametrize("shape", [(2, 0), (2, 3, 4)])
+    def test_rejects_bad_generator_shape(self, shape):
+        with pytest.raises(ValueError):
+            GramMatrix(np.ones(shape))
 
 
 class TestMomentMatrix:

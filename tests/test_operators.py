@@ -248,9 +248,9 @@ class TestSketchRank:
         assert svds == [(40, 40)]
 
     def test_recovery_decides_the_rank_with_one_sketch(self, monkeypatch):
-        # the undecided 8-column factor goes straight to the SVD of the same
-        # matrix; k = 10 exceeds its columns, so the basis comes from one
-        # dense eigh, then one Vandermonde QR
+        # the undecided 8-column factor (one 8 x 8 eigh) goes straight to the
+        # SVD of the same matrix; k = 10 exceeds its columns, so the basis
+        # comes from one dense eigh, then one Vandermonde QR
         locs = 0.9 * np.exp(2j * np.pi * np.arange(10) / 10)
         mu = PointMassMeasure(atoms=tuple(zip(locs, [1.0] * 8 + [1e-3] * 2)))
         M = moment_matrix(mu, 40)
@@ -258,7 +258,7 @@ class TestSketchRank:
         assert len(recover_atoms(M).measure) == 10
         assert qrs == [(40, SKETCH_COLS), (40, 10)]
         assert svds == [(40, 40)]
-        assert eighs == [(40, 40)]
+        assert eighs == [(SKETCH_COLS, SKETCH_COLS), (40, 40)]
 
     def test_margin_below_rounding_goes_to_svd(self, monkeypatch):
         # sigma_2 clears tau * sigma_1 by 1e-13, inside the factor's allowance
@@ -295,15 +295,18 @@ class TestSketchRank:
             if all(abs(z - z0) >= 0.1 for z0, _ in atoms):
                 atoms.append((z, rng.uniform(0.1, 3)))
         D = defect_matrix(dmu_gram(PointMassMeasure(atoms=tuple(atoms)), 512))
-        svds, eigs = spy(monkeypatch, "svd"), spy(monkeypatch, "eigvalsh")
+        svds, eigs, eighs = spy(monkeypatch, "svd"), spy(monkeypatch, "eigvalsh"), spy(monkeypatch, "eigh")
         assert numerical_rank(D) == k
-        qrs, eighs = spy(monkeypatch, "qr"), spy(monkeypatch, "eigh")
+        assert eighs == [(k, k)]
+        eighs.clear()
+        qrs = spy(monkeypatch, "qr")
         assert len(recover_atoms(D).measure) == k
         # a k-column factor, shared by the rank and the basis, and one Vandermonde QR
         assert qrs == [(511, k)] * 2
         assert svds == []
-        # each rank decision is one k x k eigvalsh; the Ritz basis one k x k eigh
-        assert eigs == [(k, k)] * 2 and eighs == [(k, k)]
+        # each rank decision is one k x k eigh, whose eigenvectors give the
+        # recovery its Ritz basis: one k x k eigensolve per recovery
+        assert eigs == [] and eighs == [(k, k)]
 
 
 sketch_atom = st.tuples(
@@ -366,7 +369,12 @@ class TestRatioIdentity:
     def test_interior_synthesized(self):
         pair = synthesized_pair(1.0, 0.5)
         cert = ratio_identity_check(hb_gram(pair, 20), pair, 5, tol=1e-8)
-        assert cert.passed
+        assert cert.passed and cert.context["route"] == "generators"
+
+    def test_needs_generators(self):
+        pair = synthesized_pair(1.0, 0.5)
+        with pytest.raises(TypeError):
+            ratio_identity_check(hb_gram(pair, 20).entries, pair, 5)
 
     def test_rejects_small_gram(self):
         pair = synthesized_pair(1.0, 0.5)
@@ -374,10 +382,9 @@ class TestRatioIdentity:
             ratio_identity_check(hb_gram(pair, 4), pair, 5)
 
     @pytest.mark.parametrize("N", [512, 2 * BLOCK_ROWS + 8 + 1])
-    def test_panels_match_dense_forms(self, N):
-        # the H(b) Gram satisfies the identity; a 3-atom D(mu) Gram does not,
-        # so its witness is far from roundoff. N = 2 BLOCK_ROWS + 9 leaves a
-        # last panel of one row.
+    def test_generators_match_dense_forms(self, N):
+        # the H(b) Gram satisfies the identity; a 3-atom D(mu) Gram, with three
+        # generator rows, does not, so its witness is far from roundoff
         pair = synthesized_pair(1.0, 0.5)
         r = 1 - abs(pair.sigma / pair.rho) ** 2
         for G in (hb_gram(pair, N), three_atom_gram(N)):
@@ -386,6 +393,7 @@ class TestRatioIdentity:
             assert cert.witness == pytest.approx(worst, rel=1e-12)
             assert cert.tolerance == pytest.approx(1e-8 * scale, rel=1e-12)
             assert cert.context["block"] == N - 8
+            assert cert.context["route"] == "generators"
         assert not cert.passed and cert.witness > 1e-3
 
 
@@ -406,6 +414,12 @@ class TestRank1Defect:
         pair = synthesized_pair(1.0, 0.5)
         cert = rank1_defect_check(hb_gram(pair, 24), pair)
         assert cert.passed and cert.witness <= 1e-8
+        assert cert.context["route"] == "cg"
+
+    def test_needs_generators(self):
+        pair = synthesized_pair(1.0, 0.5)
+        with pytest.raises(TypeError):
+            rank1_defect_check(hb_gram(pair, 24).entries, pair)
 
     def test_constant_symbol_degenerate(self):
         # c beta + gamma = 0 exactly: b = (0.5 - 0.2 z)/(1 - 0.4 z) = 0.5, S*b = 0
@@ -456,10 +470,13 @@ unit_phase = st.floats(0, 2 * np.pi).map(lambda t: complex(np.exp(1j * t)))
 def test_pencil_eigenvalue_brackets_the_dense_solve(pair, N):
     # the exact theta lies in [eigenvalue, eigenvalue + bound]; both routes
     # round their (N - 1)-term dot products, and the LU oracle errs by up to
-    # ~kappa eps theta, kappa <= ||G||_1 as G >= I
-    G = hb_gram(pair, N).entries
-    cert = rank1_defect_check(G, pair)
-    want = pencil_top_dense(G)
+    # ~kappa eps theta, kappa <= ||G||_1 as G >= I. Both take the defect
+    # vector d = U1[0] of the generator row; the Gram block of the oracle is
+    # the dense one
+    Gram = hb_gram(pair, N)
+    cert = rank1_defect_check(Gram, pair)
+    G = Gram.entries
+    want = pencil_top_dense(G, Gram.generators[0, 1:])
     theta, bound = cert.context["eigenvalue"], cert.context["bound"]
     slack = (N + np.abs(G[:-1, :-1]).sum(axis=0).max()) * EPS * want
     assert theta - slack <= want <= theta + bound + slack
@@ -599,9 +616,24 @@ class TestPanelMemory:
 
     def test_single_form_allocates_little_beyond_its_result(self):
         G = three_atom_gram(512)
+        G.entries  # built on first use, which is not the form's allocation
         B, peak = peak_bytes(hyperexpansive_form, G, 5)
         assert B.shape == (507, 507)
         assert peak < 1.25 * self.NN
+
+    def test_hb_checks_build_no_gram_entries(self):
+        # both H(b) checks run on the generator row: no N x N array, and the
+        # Gram's entries are never built
+        pair = pythagorean_mate(MoebiusSymbol(0.3 + 0.1j, 0.4 - 0.2j, 0.2 + 0.3j))
+        G = hb_gram(pair, 512)
+
+        def both():
+            return ratio_identity_check(G, pair, 8), rank1_defect_check(G, pair)
+
+        (ratio, rank1), peak = peak_bytes(both)
+        assert ratio.passed and rank1.passed
+        assert peak < 0.25 * self.NN
+        assert "entries" not in vars(G)
 
     def test_recovery_holds_one_hermitian_copy(self):
         D = defect_matrix(three_atom_gram(513))
