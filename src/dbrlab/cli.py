@@ -3,7 +3,7 @@
 Subcommands
     mate             Pythagorean mate of a symbol + roots-of-unity certificate
     synthesize       symbol constants from (alpha, lambda)
-    verify-equality  entrywise Gram comparison of D(mu) and H(b)
+    verify-equality  Gram comparison of D(mu) and H(b) on their generator rows
     certify          hyperexpansivity / defect-rank / moment certificates
     recover          atomic measure from a moment matrix
     kernel-norms     closed-form vs truncated Cauchy-kernel norms
@@ -15,7 +15,6 @@ floats); exit status is 0 exactly when every emitted certificate passes.
 import argparse
 import json
 import math
-import re
 import sys
 from pathlib import Path
 
@@ -132,15 +131,8 @@ def _tol(args, key):
 
 def gram_to_csv_text(M):
     """Row-major CSV dump with 're,im' cell pairs."""
-    A = np.asarray(M, dtype=complex)
-    lines = []
-    for row in A:
-        cells = []
-        for z in row:
-            cells.append(repr(float(z.real)))
-            cells.append(repr(float(z.imag)))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    rows = np.asarray(M, dtype=complex).tolist()
+    return "".join(",".join(f"{z.real!r},{z.imag!r}" for z in row) + "\n" for row in rows)
 
 
 def gram_from_csv_text(text):
@@ -202,9 +194,8 @@ def cmd_verify_equality(args):
     G, G_b = _equality_grams(alpha, lam, args.size)
     prefix = Path(args.out) if args.out else None
     if prefix:
-        # the CSVs first: the certificate overwrites G with the difference
-        prefix.with_suffix(".dmu.csv").write_text(gram_to_csv_text(G))
-        prefix.with_suffix(".hb.csv").write_text(gram_to_csv_text(G_b))
+        prefix.with_suffix(".dmu.csv").write_text(gram_to_csv_text(G.entries))
+        prefix.with_suffix(".hb.csv").write_text(gram_to_csv_text(G_b.entries))
     cert = _equality_certificate(alpha, lam, G, G_b, _tol(args, "equality"))
     _dump(cert.to_json_dict(), prefix and prefix.with_suffix(".json"))
     return 0 if cert.passed else 1
@@ -407,16 +398,21 @@ def build_parser():
 
 
 def _join_signed_values(argv):
-    """`--alpha -0.3+0.2i` as `--alpha=-0.3+0.2i`, which argparse takes for an
-    option; also for the abbreviations argparse accepts, such as `--lam`."""
+    """`--alpha -0.3+0.2i` or `--lambda -i` as `--alpha=-0.3+0.2i` or
+    `--lambda=-i`, which argparse takes for an option: a value that
+    parse_complex accepts is joined to the flag before it, also for the
+    abbreviations argparse accepts, such as `--lam`."""
     out = []
     for arg in argv:
         flag = out[-1] if out else ""
-        abbreviates = len(flag) > 2 and ("--alpha".startswith(flag) or "--lambda".startswith(flag))
-        if abbreviates and re.match(r"-\.?\d", arg):
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
+        if len(flag) > 2 and ("--alpha".startswith(flag) or "--lambda".startswith(flag)):
+            try:
+                parse_complex(arg)
+                out[-1] += "=" + arg
+                continue
+            except argparse.ArgumentTypeError:
+                pass
+        out.append(arg)
     return out
 
 

@@ -296,8 +296,13 @@ def _sketch_rank(M, tau):
     s = np.linalg.svd(M, compute_uv=False)
     if not np.isfinite(s).all():  # an inf in M; a NaN makes the SVD raise
         raise ValueError("matrix has a NaN or infinite entry")
-    rank = 0 if s[0] <= ZERO_SIGMA else int(np.count_nonzero(s > tau * s[0]))
-    return rank, Q, eig
+    return _count_above(s, tau), Q, eig
+
+
+def _count_above(s, tau):
+    """The rank rule: 0 if max(s) <= ZERO_SIGMA, else the count of s above tau * max(s)."""
+    top = s.max(initial=0.0)
+    return 0 if top <= ZERO_SIGMA else int(np.count_nonzero(s > tau * top))
 
 
 def numerical_rank(M, tau=RANK_TOL):
@@ -451,8 +456,7 @@ def rank1_defect_check(G_b, pair, tol=1e-8):
         raise ValueError("need a Gram matrix of size >= 2")
     U1 = U[:, 1:]
     _, s, Vh = np.linalg.svd(U1, full_matrices=False)
-    s2 = s**2
-    rank = 0 if s2.max(initial=0.0) <= ZERO_SIGMA else int(np.count_nonzero(s2 > RANK_TOL * s2[0]))
+    rank = _count_above(s**2, RANK_TOL)
     b = pair.b
     q = b.c * b.beta + b.gamma
     if q == 0:

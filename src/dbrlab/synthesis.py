@@ -73,25 +73,25 @@ def synthesized_pair(alpha, lam):
 
 
 def _equality_grams(alpha, lam, n):
-    """The D(mu) and H(b) monomial Grams of size n >= 2 for mu = |alpha|^2 delta_lam."""
-    n = int(n)
-    if n < 2:
+    """The D(mu) and H(b) `GramMatrix`es of size n >= 2 for mu = |alpha|^2 delta_lam."""
+    if int(n) < 2:
         raise ValueError("need Gram size >= 2")
-    pair = synthesized_pair(alpha, lam)
-    return dmu_gram(point_mass(alpha, lam), n).entries, hb_gram(pair, n).entries
+    return dmu_gram(point_mass(alpha, lam), n), hb_gram(synthesized_pair(alpha, lam), n)
 
 
 def _equality_certificate(alpha, lam, G, G_b, tol):
-    """Norm-equality certificate of the D(mu) Gram G against the H(b) Gram G_b.
+    """Norm-equality certificate of the D(mu) Gram G against the H(b) Gram G_b
+    on their generator rows U and V (at most one each: one atom, one f+ row).
 
-    G is overwritten with G - G_b, so the comparison needs no third N x N array.
+    With E = U - V, G - G_b = T_E T_U^H + T_V T_E^H, and each row of a T is a
+    reversed prefix of its generator, so by Cauchy-Schwarz the witness
+    ||E|| (||U|| + ||V||) bounds every entry of G - G_b. The scale max|G| is
+    its last diagonal entry 1 + sum_l |U_l|^2, summed as `_toeplitz_gram` does.
     """
-    alpha = complex(alpha)
-    lam = complex(lam)
-    # a Gram matrix's largest entry is on its diagonal: |G_ij|^2 <= G_ii G_jj
-    tol = tol * max(1.0, float(G.diagonal().real.max()))
-    G -= G_b
-    dev = float(np.abs(G).max())
+    alpha, lam = complex(alpha), complex(lam)
+    U, V = G.generators.sum(axis=0), G_b.generators.sum(axis=0)
+    tol = tol * (float(np.cumsum(U.real**2 + U.imag**2)[-1]) + 1)
+    dev = float(np.linalg.norm(U - V) * (np.linalg.norm(U) + np.linalg.norm(V)))
     return Certificate(
         kind="norm-equality",
         passed=dev <= tol,
@@ -100,18 +100,17 @@ def _equality_certificate(alpha, lam, G, G_b, tol):
         context={
             "alpha": {"re": alpha.real, "im": alpha.imag},
             "lambda": {"re": lam.real, "im": lam.imag},
-            "N": len(G),
+            "N": len(U),
+            "route": "generators",
         },
     )
 
 
 def verify_norm_equality(alpha, lam, n, tol=1e-9):
-    """Entrywise comparison of the D(mu) and H(b) monomial Gram matrices.
-
-    tol is relative: the largest entry deviation is compared with
-    tol * max(1, max|G_dmu|), because the Gram entries, and with them the
-    roundoff of both routes, grow like |alpha|^2 * N.
-    """
+    """Compare the D(mu) and H(b) monomial Grams on their generator rows: the
+    witness bounds their largest entry deviation (`_equality_certificate`). tol
+    is relative: the witness is compared with tol * max|G_dmu| (>= 1, the H^2
+    part), because the entries, and their roundoff, grow like |alpha|^2 N."""
     return _equality_certificate(alpha, lam, *_equality_grams(alpha, lam, n), tol)
 
 

@@ -139,6 +139,10 @@ def test_out_of_range_input_exits_2(tmp_path, capsys, argv):
         ("synthesize", "-1-0.5i", "-0.6j", []),
         ("verify-equality", "-1+0.5i", "-0.3+0.2i", ["--size", "8"]),
         ("kernel-norms", "-0.5+1i", "-.2-0.4j", ["--points", "2"]),
+        ("synthesize", "1", "-i", []),
+        ("synthesize", "-j", "-j", []),
+        ("verify-equality", "-.5j", "-i", ["--size", "8"]),
+        ("kernel-norms", "1", "-.5j", ["--points", "2"]),
     ],
 )
 def test_negative_real_part_as_separate_argument(capsys, command, alpha, lam, rest):

@@ -21,7 +21,8 @@ from dbrlab.operators import (
     rank1_defect_check,
     ratio_identity_check,
 )
-from dbrlab.synthesis import synthesized_pair
+from dbrlab import dirichlet
+from dbrlab.synthesis import synthesized_pair, verify_norm_equality
 from dbrlab.debranges import hb_gram
 
 from oracles import (
@@ -634,6 +635,16 @@ class TestPanelMemory:
         assert ratio.passed and rank1.passed
         assert peak < 0.25 * self.NN
         assert "entries" not in vars(G)
+
+    def test_norm_equality_builds_no_gram_entries(self, monkeypatch):
+        # the certificate compares the two generator rows: no N x N array
+        def build(U):
+            raise AssertionError("the dense Gram was built")
+
+        monkeypatch.setattr(dirichlet, "_toeplitz_gram", build)
+        cert, peak = peak_bytes(verify_norm_equality, 1, 0.5, 512)
+        assert cert.passed and cert.context["route"] == "generators"
+        assert peak < 0.25 * self.NN
 
     def test_recovery_holds_one_hermitian_copy(self):
         D = defect_matrix(three_atom_gram(513))

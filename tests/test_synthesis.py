@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dbrlab.debranges import MoebiusSymbol, SymbolError
+from dbrlab.debranges import MoebiusSymbol, SymbolError, hb_gram
 from dbrlab.dirichlet import PointMassMeasure, dmu_gram
 from dbrlab.synthesis import (
+    _equality_certificate,
+    _equality_grams,
     classify_symbol,
     corollary_params,
     synthesize_symbol,
@@ -106,6 +110,50 @@ class TestVerifyNormEquality:
         assert cert.tolerance == 1e-9 * scale
         # the scale never drops below 1: H^2 alone has Gram I
         assert verify_norm_equality(0, 0.3, 8, tol=1e-9).tolerance == 1e-9
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    modulus=st.floats(0.1, 2.0),
+    phase=st.floats(0, 2 * np.pi),
+    radius=st.one_of(st.floats(0, 0.95), st.just(1.0)),
+    theta=st.floats(0, 2 * np.pi),
+    N=st.sampled_from([24, 512]),
+    move=st.sampled_from(["lambda", "alpha"]),
+    delta=st.floats(1e-6, 0.05),
+    psi=st.floats(0, 2 * np.pi),
+)
+@example(modulus=0.1, phase=0, radius=0, theta=0, N=24, move="lambda", delta=1e-6, psi=0)
+@example(modulus=0.1, phase=0, radius=1, theta=1, N=512, move="alpha", delta=1e-6, psi=0)
+def test_equality_certificate_bounds_and_detects(modulus, phase, radius, theta, N, move, delta, psi):
+    # D(mu) for (alpha, lam) against H(b) for the same pair, which must PASS,
+    # and for a false partner, lam moved by delta (along the circle when
+    # |lam| = 1) or alpha scaled by 1 + delta, which must FAIL
+    alpha, lam = modulus * np.exp(1j * phase), radius * np.exp(1j * theta)
+    if move == "alpha":
+        false_alpha, false_lam = alpha * (1 + delta), lam
+    elif radius == 1:
+        false_alpha, false_lam = alpha, lam * np.exp(1j * delta)
+    else:
+        false_alpha, false_lam = alpha, lam + delta * np.exp(1j * psi)
+    G, G_b = _equality_grams(alpha, lam, N)
+    F_b = hb_gram(synthesized_pair(false_alpha, false_lam), N)
+    true = _equality_certificate(alpha, lam, G, G_b, 1e-9)
+    false = _equality_certificate(alpha, lam, G, F_b, 1e-9)
+    assert true.passed and true.context["route"] == "generators"
+    assert not false.passed
+    # the witness bounds max|G - H| of the exact Grams of the rows U and V.
+    # Each computed entry is a sum of at most N products U_a conj(U_b) plus
+    # 1: its error is at most ~sqrt(2) (N + 3) eps/2 sum|U_a||U_b| + eps/2,
+    # below (N + 2) eps (1 + ||U||^2) by Cauchy-Schwarz; the witness itself
+    # is a norm of N entries, within (N + 4) eps relative
+    eps = np.finfo(float).eps
+    U = G.generators.sum(axis=0)
+    for H, cert in ((G_b, true), (F_b, false)):
+        V = H.generators.sum(axis=0)
+        dev = np.abs(G.entries - H.entries).max()
+        slack = (N + 2) * eps * (2 + np.vdot(U, U).real + np.vdot(V, V).real)
+        assert dev <= cert.witness * (1 + (N + 4) * eps) + slack
 
 
 class TestCorollaryParams:
