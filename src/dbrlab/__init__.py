@@ -41,7 +41,6 @@ from .operators import (
 from .moments import RecoveryError, RecoveryResult, recover_atoms, roundtrip_check
 from .synthesis import (
     SynthesisOutput,
-    classify_symbol,
     corollary_params,
     synthesize_symbol,
     synthesized_pair,
@@ -61,7 +60,6 @@ __all__ = [
     "SymbolError",
     "SynthesisOutput",
     "certify_nsd",
-    "classify_symbol",
     "corollary_params",
     "defect_matrix",
     "difference_quotient",

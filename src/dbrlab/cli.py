@@ -15,6 +15,7 @@ floats); exit status is 0 exactly when every emitted certificate passes.
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -67,11 +68,15 @@ DEFAULT_TOLS = {
 
 
 def parse_complex(s):
-    """Accept 're' or 're+imi' strings ('i' or 'j' imaginary suffix)."""
+    """Accept 're' or 're+imi' strings ('i' or 'j' imaginary suffix) of a
+    finite value: nan, inf and literals beyond the float range are rejected."""
     try:
-        return complex(s.strip().replace("i", "j"))
+        z = complex(re.sub(r"i(\)?)$", r"j\1", s.strip()))
     except ValueError as e:
         raise argparse.ArgumentTypeError(f"cannot parse complex value {s!r}") from e
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise argparse.ArgumentTypeError(f"non-finite complex value {s!r}")
+    return z
 
 
 def _complex_json(z):

@@ -17,6 +17,7 @@ from .operators import (
     Certificate,
     _residual_squares,
     _sketch_rank,
+    _svd_rank,
     defect_matrix,
 )
 
@@ -51,8 +52,10 @@ def recover_atoms(M, k=None, rank_tol=RANK_TOL):
     |eigenvalues| of H above rank_tol times the largest, decided once by
     `_sketch_rank`: by its certified pivoted Cholesky factor H ~ L L^H,
     without an N x N eigensolve, when the rank is small, and by the SVD of
-    H only when the factor leaves it undecided. k < 0 raises RecoveryError.
-    Requires at least k+1 rows of moments.
+    H only when the factor leaves it undecided. The factor runs on M in
+    place, as it reads only the columns of H and its bound on M is also one
+    on H: the N x N H is built only for that SVD or for the dense eigh
+    below. k < 0 raises RecoveryError. Requires at least k+1 rows of moments.
 
     The column space used for the locations is that of the k largest-|eigenvalue|
     directions of H. When the factor has at least k columns they come
@@ -79,11 +82,9 @@ def recover_atoms(M, k=None, rank_tol=RANK_TOL):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise RecoveryError("moment matrix must be square")
     N = M.shape[0]
-    # the Hermitian part in one N x N array, C-ordered like M
-    H = np.conj(M.T, order="C")
-    H += M
-    H *= 0.5
-    rank, Q, eig = _sketch_rank(H, rank_tol)
+    rank, Q, eig = _sketch_rank(M, rank_tol)
+    if rank is None:
+        rank = _svd_rank(_hermitian_part(M), rank_tol)
     k = rank if k is None else int(k)
     if k < 0:
         raise RecoveryError(f"atom count {k} must be >= 0")
@@ -99,8 +100,7 @@ def recover_atoms(M, k=None, rank_tol=RANK_TOL):
         raise RecoveryError(f"need at least {k + 1} moment rows for {k} atoms")
 
     ritz = k <= Q.shape[1]
-    lam, W = eig if ritz else np.linalg.eigh(H)
-    del H
+    lam, W = eig if ritz else np.linalg.eigh(_hermitian_part(M))
     U = W[:, np.argsort(-np.abs(lam))[:k]]
     if ritz:
         U = Q @ U
@@ -137,6 +137,14 @@ def recover_atoms(M, k=None, rank_tol=RANK_TOL):
     condition = float(np.linalg.cond(V))
     measure = PointMassMeasure(atoms=tuple(zip(locs, weights)))
     return RecoveryResult(measure=measure, residual=residual, condition=condition)
+
+
+def _hermitian_part(M):
+    """(M + M^H) / 2 in one N x N array, C-ordered like M."""
+    H = np.conj(M.T, order="C")
+    H += M
+    H *= 0.5
+    return H
 
 
 def match_atoms(expected, recovered):

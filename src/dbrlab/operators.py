@@ -5,8 +5,10 @@ hyperexpansivity form of the shift, compressed to span{1, ..., z^(N-1-n)},
 is the n-th iterated diagonal difference of G^T, X -> X[:-1, :-1] - X[1:, 1:]
 (Pascal's rule on the alternating binomial sum of shifted Gram blocks). The
 shift is n-hyperexpansive on the space exactly when those forms are
-negative semidefinite. The two H(b) checks, the ratio identity and the
-rank-1 defect, take a `GramMatrix` and read its Toeplitz generators only.
+negative semidefinite. A `GramMatrix` G = I + sum_r T_r T_r^H gives each
+form as one product on its Toeplitz generator rows, B_n^T = -X C_n X^H,
+without its entries; the two H(b) checks, the ratio identity and the
+rank-1 defect, read those generators only.
 """
 
 import math
@@ -29,9 +31,8 @@ SKETCH_COLS = 8
 # Higham 2002, sec. 3.5-3.6) and of the rank's QR and p x p eigh (ch. 19),
 # with room
 SKETCH_ROUNDING = 3
-# rows formed at a time by the blocked loops (the Pascal panels of the
-# forms, the residuals of the factor and of the recovery), so that no N x N
-# temporary is allocated
+# rows formed at a time by the blocked residuals of the factor and of the
+# recovery, so that no N x N temporary is allocated
 BLOCK_ROWS = 64
 
 
@@ -63,14 +64,21 @@ class Certificate:
 def hyperexpansive_forms(G, n_max):
     """Yield the forms B_1 .. B_n_max, B_n[j][k] = sum_i (-1)^i C(n,i) G[k+i][j+i].
 
-    Pascal's rule C(n+1, i) = C(n, i) + C(n, i-1) gives
+    From a GramMatrix each form is one product on its generator rows
+    (`_generator_form`), and its entries are never built. From a plain
+    array, Pascal's rule C(n+1, i) = C(n, i) + C(n, i-1) gives
     B_(n+1) = B_n[:-1, :-1] - B_n[1:, 1:] from B_0 = G^T: one subtraction
     per order. Consume it in a loop, so that only two forms are alive.
     """
-    B = np.asarray(G, dtype=complex).T
     n_max = int(n_max)
-    if n_max > B.shape[0] - 1:
-        raise ValueError(f"order {n_max} exceeds N - 1 = {B.shape[0] - 1}")
+    if isinstance(G, GramMatrix):
+        U = G.generators
+        _check_order(n_max, U.shape[1])
+        for n in range(1, n_max + 1):
+            yield _generator_form(U, n)
+        return
+    B = np.asarray(G, dtype=complex).T
+    _check_order(n_max, B.shape[0])
     for _ in range(n_max):
         B = B[:-1, :-1] - B[1:, 1:]
         yield B
@@ -80,53 +88,48 @@ def hyperexpansive_form(G, n):
     """Order-n form B_n, the compression of the order-n hyperexpansivity sum
     of the shift to the monomials z^0 .. z^(N-1-n); see hyperexpansive_forms.
 
-    Built BLOCK_ROWS rows of B_n^T at a time by `_pascal_panels`, so the
-    only N x N array is the result; its entries are those of the n-th form
-    of hyperexpansive_forms, bit for bit, and it is returned as the
-    transpose of a C-ordered array, the layout that generator yields.
+    A GramMatrix gives one `_generator_form`, the transpose of a C-ordered
+    array; a plain array gives the last form of hyperexpansive_forms(G, n).
     """
-    A = np.asarray(G, dtype=complex)
-    N = A.shape[0]
     n = int(n)
-    if not 1 <= n <= N - 1:
-        raise ValueError(f"order {n} must satisfy 1 <= n <= {N - 1}")
-    out = np.empty((N - n, N - n), dtype=A.dtype)
-    for i, k, P in _pascal_panels(A, n):
-        if k == n:
-            out[i : i + len(P)] = P
-    return out.T
+    if n < 1:
+        raise ValueError(f"order {n} must be >= 1")
+    if isinstance(G, GramMatrix):
+        _check_order(n, G.generators.shape[1])
+        return _generator_form(G.generators, n)
+    *_, B = hyperexpansive_forms(G, n)
+    return B
 
 
-def _pascal_panels(A, n_max):
-    """Yield (i, n, P) for each panel of at most BLOCK_ROWS rows i, i + 1, ...
-    below N - n_max and for each order n = 1 .. n_max in turn: P holds those
-    rows of B_n^T, all N - n of its columns.
+def _check_order(n, N):
+    if n > N - 1:
+        raise ValueError(f"order {n} exceeds N - 1 = {N - 1}")
 
-    Pascal's rule commutes with transposition, so B_n^T is the n-th
-    iterated difference X -> X[:-1, :-1] - X[1:, 1:] of A itself, and its
-    rows i .. i + h - 1 need only the h + n contiguous rows of A from i on.
-    Each panel copies h + n_max such rows into one flat work array of row
-    length N, where X[a, b] - X[a + 1, b + 1] is entry t = a N + b minus
-    entry t + N + 1: each order is then one in-place subtraction of two
-    contiguous ranges, on the operands of the full forms, so its entries
-    are theirs bit for bit. Columns b >= N - n hold wrapped-around values
-    that P leaves out. P is a view of the work array, which the next order
-    overwrites: keep a copy of any panel needed later.
+
+def _hankel(U, n, m):
+    """The m x (k n) Hankel matrix X[i, r n + j] = U1[r, i + j], U1 = U[:, 1:]."""
+    windows = np.lib.stride_tricks.sliding_window_view(U[:, 1:], n, axis=1)[:, :m]
+    return windows.transpose(1, 0, 2).reshape(m, U.shape[0] * n)
+
+
+def _pascal(n, width):
+    """The first `width` of the alternating binomials (-1)^j C(n-1, j), zero for j >= n."""
+    return np.array([(-1) ** j * math.comb(n - 1, j) for j in range(width)], dtype=float)
+
+
+def _generator_form(U, n):
+    """B_n of the Gram with generator rows U (k x N), 1 <= n <= N - 1.
+
+    The defect is U1^T conj(U1), U1 = U[:, 1:], and B_n^T is minus the
+    alternating binomial sum of its n shifted diagonal blocks, so
+    B_n^T = -(X C_n) X^H: X the (N - n) x (k n) `_hankel` matrix and
+    C_n = I_k ⊗ diag((-1)^j C(n-1, j)). That is one product of
+    O(N^2 k n) work, no difference of the cumulative Gram entries, whose
+    rounding the n-th Pascal difference would amplify by up to 2^n.
     """
-    N = A.shape[0]
-    m = N - n_max
-    work = np.empty((min(BLOCK_ROWS, m) + n_max) * N, dtype=A.dtype)
-    for i in range(0, m, BLOCK_ROWS):
-        h = min(BLOCK_ROWS, m - i)
-        X = work[: (h + n_max) * N]
-        X2 = X.reshape(h + n_max, N)
-        X2[...] = A[i : i + h + n_max]
-        for n in range(1, n_max + 1):
-            # order n is valid on its first h + n_max - n rows; the last entry
-            # of those rows lies in a wrapped column and is left as it was
-            L = (h + n_max - n) * N - 1
-            np.subtract(X[:L], X[N + 1 : N + 1 + L], out=X[:L])
-            yield i, n, X2[:h, : N - n]
+    k, N = U.shape
+    X = _hankel(U, n, N - n)
+    return ((X * np.tile(-_pascal(n, n), k)) @ X.conj().T).T
 
 
 def certify_nsd(B, tol=NSD_TOL, order=None):
@@ -137,8 +140,9 @@ def certify_nsd(B, tol=NSD_TOL, order=None):
     is NSD, Weyl's inequality gives lambda_max(H) <= e: the certificate
     passes on the factor's route when e <= tol, as it does for every form
     of an atomic measure, which has low rank. A transposed view (as
-    `hyperexpansive_form` returns) is factored as its C-ordered transpose,
-    whose Hermitian part H^T has the same spectrum.
+    `hyperexpansive_form` and `hyperexpansive_forms` return) is factored
+    as its C-ordered transpose, whose Hermitian part H^T has the same
+    spectrum.
 
     A form with a NaN or infinite entry raises ValueError: its bound is
     non-finite, and no route can decide it. When the factor does not decide
@@ -252,8 +256,8 @@ def _residual_squares(A, Q, W, scale):
 
 
 def _sketch_rank(M, tau):
-    """(count, Q, eig): the count of numerical_rank, from the `_cholesky_factor`
-    M ~ L L^H (s = 1) when that settles it, else from the SVD of M; Q R = L
+    """(count, Q, eig): the count of numerical_rank from the `_cholesky_factor`
+    M ~ L L^H (s = 1), or None when the factor leaves it undecided; Q R = L
     is the QR of the factor and eig = (eigenvalues, eigenvectors) the one
     `eigh` of S = R R^H, which recovery reuses for its Ritz basis.
 
@@ -269,34 +273,41 @@ def _sketch_rank(M, tau):
     tau * sigma_1 in [lo, hi] = [tau (m - e'), tau (m + e')], and the
     factor's count is exact when the padding zeros lie below it (e' < lo)
     and no |eig S| lies within e' of that interval. sigma_1 <= m + e' also
-    certifies a zero count when m + e' <= ZERO_SIGMA. An empty M has count
-    0 and a non-square one goes straight to the SVD: Q and eig are then None.
-    A NaN or infinite entry raises ValueError.
+    certifies a zero count when m + e' <= ZERO_SIGMA. The factor reads only
+    Herm(M) = H, and e >= ||M - L L^H||_F >= ||H - L L^H||_F, as taking the
+    Hermitian part is a Frobenius contraction and L L^H is Hermitian: a
+    decided count is also that of H. An empty M has count 0 and a
+    non-square one count None: Q and eig are then None.
     """
     if not 0 < tau < 1:
         raise ValueError("relative threshold must lie in (0, 1)")
     N = M.shape[0]
     if M.size == 0:
         return 0, None, None
-    Q = eig = None
-    if M.shape[1] == N:
-        L, e = _cholesky_factor(M, 1)
-        Q, R = np.linalg.qr(L)
-        eig = np.linalg.eigh(R @ R.conj().T)
-        lam = np.abs(eig[0])
-        m = float(lam.max(initial=0.0))
-        F, eps, p = float(np.linalg.norm(L)), np.finfo(float).eps, L.shape[1]
-        h = SKETCH_ROUNDING * (N + 2) * p * eps * F
-        e += h * (2 * F + h) + SKETCH_ROUNDING * p * (p + 2) * eps * (F + h) ** 2
-        if m + e <= ZERO_SIGMA:
-            return 0, Q, eig
-        lo, hi = tau * (m - e), tau * (m + e)
-        if m > ZERO_SIGMA and e < lo and not np.any((lam >= lo - e) & (lam <= hi + e)):
-            return int(np.count_nonzero(lam > hi)), Q, eig
+    if M.shape[1] != N:
+        return None, None, None
+    L, e = _cholesky_factor(M, 1)
+    Q, R = np.linalg.qr(L)
+    eig = np.linalg.eigh(R @ R.conj().T)
+    lam = np.abs(eig[0])
+    m = float(lam.max(initial=0.0))
+    F, eps, p = float(np.linalg.norm(L)), np.finfo(float).eps, L.shape[1]
+    h = SKETCH_ROUNDING * (N + 2) * p * eps * F
+    e += h * (2 * F + h) + SKETCH_ROUNDING * p * (p + 2) * eps * (F + h) ** 2
+    if m + e <= ZERO_SIGMA:
+        return 0, Q, eig
+    lo, hi = tau * (m - e), tau * (m + e)
+    if m > ZERO_SIGMA and e < lo and not np.any((lam >= lo - e) & (lam <= hi + e)):
+        return int(np.count_nonzero(lam > hi)), Q, eig
+    return None, Q, eig
+
+
+def _svd_rank(M, tau):
+    """The rank rule on the singular values of M; a NaN or infinite entry raises ValueError."""
     s = np.linalg.svd(M, compute_uv=False)
     if not np.isfinite(s).all():  # an inf in M; a NaN makes the SVD raise
         raise ValueError("matrix has a NaN or infinite entry")
-    return _count_above(s, tau), Q, eig
+    return _count_above(s, tau)
 
 
 def _count_above(s, tau):
@@ -313,7 +324,9 @@ def numerical_rank(M, tau=RANK_TOL):
     above SKETCH_COLS, a singular value near the threshold, indefinite,
     strongly non-Hermitian or non-square M.
     """
-    return _sketch_rank(np.asarray(M, dtype=complex), tau)[0]
+    M = np.asarray(M, dtype=complex)
+    count = _sketch_rank(M, tau)[0]
+    return _svd_rank(M, tau) if count is None else count
 
 
 def _generators(G):
@@ -331,7 +344,7 @@ def ratio_identity_check(G_b, pair, n_max, tol=1e-8):
     m = N - n_max and read from the generators U (k x N) of the GramMatrix
     G_b, whose entries are never built. The defect is U1^T conj(U1),
     U1 = U[:, 1:], so on the block B_n^T = -Y P_n Y^H, with Y the
-    m x (k n_max) Hankel matrix Y[i, r n_max + j] = U1[r, i + j] and
+    m x (k n_max) `_hankel` matrix Y[i, r n_max + j] = U1[r, i + j] and
     P_n = I_k ⊗ diag((-1)^j C(n-1, j)), zero for j >= n. After one thin QR,
     Y = Q R, ||B_n - r^(n-2) B_2||_F = ||R (P_n - r^(n-2) P_2) R^H||_F and
     ||B_2||_F = ||R P_2 R^H||_F: O(m (k n_max)^2) work in all.
@@ -346,18 +359,14 @@ def ratio_identity_check(G_b, pair, n_max, tol=1e-8):
     if m < 1:
         raise ValueError(f"Gram size {N} too small for n_max = {n_max}")
     r = 1 - abs(pair.sigma / pair.rho) ** 2
-    # windows[r, i, j] = U1[r, i + j]
-    windows = np.lib.stride_tricks.sliding_window_view(U[:, 1:], n_max, axis=1)[:, :m]
-    R = np.linalg.qr(windows.transpose(1, 0, 2).reshape(m, k * n_max), mode="r")
-
-    def pascal(n):
-        return np.array([(-1) ** j * math.comb(n - 1, j) for j in range(n_max)], dtype=float)
+    R = np.linalg.qr(_hankel(U, n_max, m), mode="r")
 
     def core_norm(p):
         return float(np.linalg.norm((R * np.tile(p, k)) @ R.conj().T))
 
-    worst = max(core_norm(pascal(n) - r ** (n - 2) * pascal(2)) for n in range(3, n_max + 1))
-    scale = max(1.0, core_norm(pascal(2)))
+    P2 = _pascal(2, n_max)
+    worst = max(core_norm(_pascal(n, n_max) - r ** (n - 2) * P2) for n in range(3, n_max + 1))
+    scale = max(1.0, core_norm(P2))
     return Certificate(
         kind="ratio-identity",
         passed=worst <= tol * scale,

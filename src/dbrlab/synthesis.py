@@ -22,11 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .debranges import MoebiusSymbol, _s_and_p, hb_gram, pythagorean_mate, validate_symbol
+from .debranges import MoebiusSymbol, hb_gram, pythagorean_mate
 from .dirichlet import DISK_TOL, PointMassMeasure, dmu_gram
 from .operators import Certificate
-
-TWO_ISOMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -130,24 +128,3 @@ def corollary_params(beta, gamma, tol=1e-10):
             f"|beta| + |gamma| = {abs(beta) + abs(gamma)} must equal 1"
         )
     return abs(gamma) ** 2 / abs(beta), np.conj(beta) / abs(beta)
-
-
-@dataclass(frozen=True)
-class SymbolClassification:
-    completely_hyperexpansive: bool
-    two_isometry: bool
-
-
-def classify_symbol(b):
-    """Classify a valid nonextreme Moebius symbol's shift.
-
-    Every such symbol gives a completely hyperexpansive shift; the shift is
-    a 2-isometry exactly when 1 + |beta|^2 - |c|^2 - |gamma|^2 equals
-    2 |beta + conj(c) gamma| (equivalently rho = |sigma| in the mate).
-    """
-    flags = validate_symbol(b.c, b.gamma, b.beta)
-    if not flags.nonextreme:
-        raise ValueError("classification requires a valid nonextreme symbol")
-    s, _, root = _s_and_p(b.c, b.gamma, b.beta)
-    two_iso = abs(s - 2 * abs(root)) <= TWO_ISOMETRY_TOL
-    return SymbolClassification(completely_hyperexpansive=True, two_isometry=two_iso)

@@ -5,11 +5,13 @@ way, so none of them belongs to the runtime.
 """
 
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 
 from dbrlab import hardy
+from dbrlab.debranges import _s_and_p, validate_symbol
 from dbrlab.operators import defect_matrix, hyperexpansive_forms
 
 
@@ -156,11 +158,11 @@ def binomial_form(G, n):
 
 
 def ratio_witness_dense(G, r, n_max):
-    """(worst, scale) of the ratio identity B_n = r^(n-2) B_2 from full forms:
-    worst = max ||B_n - r^(n-2) B_2||_F over 3 <= n <= n_max and
+    """(worst, scale) of the ratio identity B_n = r^(n-2) B_2 from full dense
+    forms, by Pascal's rule on the Gram's entries: worst = max ||B_n - r^(n-2) B_2||_F over 3 <= n <= n_max and
     scale = max(1, ||B_2||_F), all on the common block m = N - n_max."""
     worst = 0.0
-    for n, B in enumerate(hyperexpansive_forms(G, n_max), 1):
+    for n, B in enumerate(hyperexpansive_forms(np.asarray(G), n_max), 1):
         m = B.shape[0] + n - n_max
         if n == 2:
             B2 = B[:m, :m]
@@ -191,3 +193,27 @@ def moment_matrix_outer(mu, n):
         p = np.asarray(z, dtype=complex) ** np.arange(n)
         M += w * np.outer(p, p.conj())
     return M
+
+
+TWO_ISOMETRY_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class SymbolClassification:
+    completely_hyperexpansive: bool
+    two_isometry: bool
+
+
+def classify_symbol(b):
+    """Classify a valid nonextreme Moebius symbol's shift.
+
+    Every such symbol gives a completely hyperexpansive shift; the shift is
+    a 2-isometry exactly when 1 + |beta|^2 - |c|^2 - |gamma|^2 equals
+    2 |beta + conj(c) gamma| (equivalently rho = |sigma| in the mate).
+    """
+    flags = validate_symbol(b.c, b.gamma, b.beta)
+    if not flags.nonextreme:
+        raise ValueError("classification requires a valid nonextreme symbol")
+    s, _, root = _s_and_p(b.c, b.gamma, b.beta)
+    two_iso = abs(s - 2 * abs(root)) <= TWO_ISOMETRY_TOL
+    return SymbolClassification(completely_hyperexpansive=True, two_isometry=two_iso)

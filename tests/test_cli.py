@@ -169,6 +169,30 @@ class TestParseComplex:
         assert parse_complex("-2j") == -2j
 
 
+# each spelling of a non-finite value; `inf` is refused as non-finite, not
+# for its letter i
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["synthesize", "--alpha", "nan", "--lambda", "0.5"], id="nan"),
+        pytest.param(["synthesize", "--alpha", "1e400", "--lambda", "0.5"], id="1e400"),
+        pytest.param(["synthesize", "--alpha", "1", "--lambda", "nan"], id="lambda-nan"),
+        pytest.param(["verify-equality", "--alpha", "nan", "--lambda", "0.5"], id="equality-nan"),
+        pytest.param(["synthesize", "--alpha", "inf", "--lambda", "0.5"], id="inf"),
+        pytest.param(["synthesize", "--alpha=-inf", "--lambda", "0.5"], id="-inf"),
+        pytest.param(["synthesize", "--alpha", "infinity", "--lambda", "0.5"], id="infinity"),
+        pytest.param(["synthesize", "--alpha", "1+infi", "--lambda", "0.5"], id="1+infi"),
+        pytest.param(["synthesize", "--alpha", "1e400j", "--lambda", "0.5"], id="1e400j"),
+        pytest.param(["kernel-norms", "--alpha", "1", "--lambda", "0.5-nanj"], id="0.5-nanj"),
+    ],
+)
+def test_non_finite_complex_value_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "non-finite complex value" in capsys.readouterr().err
+
+
 class TestSynthesize:
     def test_origin(self, tmp_path, capsys):
         assert main(["synthesize", "--alpha", "1", "--lambda", "0"]) == 0
@@ -322,10 +346,22 @@ class TestCertify:
             assert c["context"]["bound"] <= c["tolerance"]
             assert c["context"]["witness"] == "diagonal"
 
+    def test_heavy_boundary_atom_forms_pass_on_the_factor(self, tmp_path, capsys):
+        # weight 50 on the circle: the forms come from the generator rows, so
+        # no 2^n-amplified Pascal difference of the heavy Gram is taken, and
+        # every order passes on the factor's bound
+        mu = PointMassMeasure(atoms=((0.6 + 0.8j, 50.0), (0.3 + 0.1j, 0.5)))
+        path = write_measure(tmp_path, mu)
+        main(["certify", "--measure", path, "--size", "512", "--n-max", "5"])
+        certs = json.loads(capsys.readouterr().out)["certificates"]
+        nsd = [c for c in certs if c["kind"] == "nsd"]
+        assert [c["context"]["order"] for c in nsd] == [1, 2, 3, 4, 5]
+        assert all(c["pass"] and c["context"]["route"] == "sketch" for c in nsd)
+
     def test_overflowing_bound_is_strict_json(self, tmp_path, capsys):
-        # weight 1e200 overflows the factor's bound of both forms (its residual,
-        # ~1e185, has squares beyond the float range); strict JSON has no
-        # Infinity, so the bound is written as the string "inf"
+        # weight 1e200 overflows the factor's bound of the order-2 form (its
+        # residual has squares beyond the float range; order 1's is ~2.7e185);
+        # strict JSON has no Infinity, so the bound is written as the string "inf"
         path = write_measure(tmp_path, PointMassMeasure.single(0.5, 1e200))
         with np.errstate(over="ignore"):
             main(["certify", "--measure", path, "--size", "16", "--n-max", "2"])
@@ -334,7 +370,9 @@ class TestCertify:
             raise ValueError(f"non-standard JSON constant {name}")
 
         certs = json.loads(capsys.readouterr().out, parse_constant=reject)["certificates"]
-        assert [c["context"]["bound"] for c in certs if c["kind"] == "nsd"] == ["inf", "inf"]
+        bounds = [c["context"]["bound"] for c in certs if c["kind"] == "nsd"]
+        assert bounds[1] == "inf"
+        assert all(isinstance(b, float) or b == "inf" for b in bounds)
 
 
 def test_dump_writes_non_finite_floats_as_strings(capsys):

@@ -8,12 +8,13 @@ from dbrlab.dirichlet import PointMassMeasure, dmu_gram
 from dbrlab.synthesis import (
     _equality_certificate,
     _equality_grams,
-    classify_symbol,
     corollary_params,
     synthesize_symbol,
     synthesized_pair,
     verify_norm_equality,
 )
+
+from oracles import classify_symbol
 
 
 class TestSynthesizeSymbol:
