@@ -41,7 +41,6 @@ from .operators import (
 from .moments import RecoveryError, RecoveryResult, recover_atoms, roundtrip_check
 from .synthesis import (
     SynthesisOutput,
-    corollary_params,
     synthesize_symbol,
     synthesized_pair,
     verify_norm_equality,
@@ -60,7 +59,6 @@ __all__ = [
     "SymbolError",
     "SynthesisOutput",
     "certify_nsd",
-    "corollary_params",
     "defect_matrix",
     "difference_quotient",
     "dmu_cauchy_norm",

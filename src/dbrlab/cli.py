@@ -26,6 +26,7 @@ from .debranges import (
     MoebiusSymbol,
     SymbolError,
     hb_cauchy_norm,
+    hb_gram,
     hb_inner,
     pythagorean_mate,
 )
@@ -50,8 +51,7 @@ from .operators import (
     numerical_rank,
 )
 from .synthesis import (
-    _equality_certificate,
-    _equality_grams,
+    equality_certificate,
     point_mass,
     synthesize_symbol,
     synthesized_pair,
@@ -141,7 +141,7 @@ def gram_to_csv_text(M):
 
 
 def gram_from_csv_text(text):
-    """Parse the 're,im' pair CSV back into a complex matrix."""
+    """Parse the 're,im' pair CSV back into a complex matrix of finite cells."""
     rows = []
     for line in text.strip().splitlines():
         vals = [float(v) for v in line.split(",")]
@@ -151,6 +151,8 @@ def gram_from_csv_text(text):
     M = np.asarray(rows, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expected a square matrix")
+    if not np.isfinite(M).all():
+        raise ValueError("expected finite cells, got nan or inf")
     return M
 
 
@@ -196,12 +198,13 @@ def cmd_verify_equality(args):
         alpha = complex(np.sqrt(weight))
     else:
         alpha, lam = args.alpha, args.lam
-    G, G_b = _equality_grams(alpha, lam, args.size)
+    G = dmu_gram(point_mass(alpha, lam), args.size)
+    G_b = hb_gram(synthesized_pair(alpha, lam), args.size)
     prefix = Path(args.out) if args.out else None
     if prefix:
-        prefix.with_suffix(".dmu.csv").write_text(gram_to_csv_text(G.entries))
-        prefix.with_suffix(".hb.csv").write_text(gram_to_csv_text(G_b.entries))
-    cert = _equality_certificate(alpha, lam, G, G_b, _tol(args, "equality"))
+        prefix.with_suffix(".dmu.csv").write_text(gram_to_csv_text(G))
+        prefix.with_suffix(".hb.csv").write_text(gram_to_csv_text(G_b))
+    cert = equality_certificate(alpha, lam, G, G_b, _tol(args, "equality"))
     _dump(cert.to_json_dict(), prefix and prefix.with_suffix(".json"))
     return 0 if cert.passed else 1
 

@@ -205,7 +205,7 @@ def hb_gram(pair, n):
 
     f -> f+ commutes with the backward shift, so (z^k)+ is (z^(n-1))+ minus its
     first n-1-k coefficients: one f+ solve, O(n), gives the whole Toeplitz
-    f+ matrix T and G = I + T T^H. Its entries cost O(n^2) when first used.
+    f+ matrix T and G = I + T T^H. Its entries cost O(n^2) on each read.
     """
     n = int(n)
     if n < 1:

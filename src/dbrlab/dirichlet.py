@@ -9,7 +9,6 @@ Boundary atoms are fully supported: inputs are polynomials, so the
 difference quotient always exists.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +31,8 @@ class PointMassMeasure:
         for z, w in atoms:
             if not (np.isfinite(w) and w > 0):
                 raise ValueError(f"atom weight {w} must be positive")
-            if abs(z) > 1 + DISK_TOL:
-                raise ValueError(f"atom location {z} outside the closed disk")
+            if not abs(z) <= 1 + DISK_TOL:  # False for a NaN location too
+                raise ValueError(f"atom location {z} is not a point of the closed disk")
         locs = [z for z, _ in atoms]
         for i in range(len(locs)):
             for j in range(i + 1, len(locs)):
@@ -75,8 +74,9 @@ class GramMatrix:
     generators[r], a k x N array (read-only; entries below eps times its
     largest are flushed to zero, so the Gram and its defect stay out of
     subnormals). The defect G[1:, 1:] - G[:-1, :-1] is exactly
-    U1^T conj(U1), U1 = generators[:, 1:]. The N x N `entries` are built by
-    `_toeplitz_gram` on first use and kept; np.asarray(G) returns them.
+    U1^T conj(U1), U1 = generators[:, 1:]. The N x N `entries` are an
+    output format, built by `_toeplitz_gram` on each read; np.asarray(G)
+    returns them. No certificate reads them.
     """
 
     generators: np.ndarray
@@ -90,13 +90,11 @@ class GramMatrix:
         U.setflags(write=False)
         object.__setattr__(self, "generators", U)
 
-    @functools.cached_property
+    @property
     def entries(self):
         return _toeplitz_gram(self.generators)
 
     def __array__(self, dtype=None, copy=None):
-        if copy:
-            return np.array(self.entries, dtype=dtype)
         return np.asarray(self.entries, dtype=dtype)
 
 
@@ -134,17 +132,11 @@ def _locations_weights(mu):
 def dmu_gram(mu, n):
     """Monomial Gram matrix G[i][j] = <z^i, z^j> in D(mu), size n, as a
     `GramMatrix` of one generator row per atom; its entries cost O(n^2 * atoms)
-    when first used.
+    on each read.
 
     Each atom adds T T^H, T Toeplitz of first column sqrt(w) (0, 1, zeta, zeta^2, ...).
-    The powers are `hardy.powers`, a running product, whose rounding error
-    drifts slowly along the row: each diagonal of G sums the products
-    zeta^l conj(zeta^(l+d)) along it, and their error changes by O(eps)
-    from one step to the next rather than jittering by O(l eps), as
-    independently rounded powers make it do. The order-n form, the n-th
-    Pascal difference of G, amplifies that error by up to 2^n; from
-    running products it stays close enough to the form's exact low rank
-    for the NSD factor to decide it.
+    The powers are `hardy.powers`, the running product that `moment_matrix`
+    and recovery's Vandermonde also use.
     """
     n = int(n)
     if n < 1:

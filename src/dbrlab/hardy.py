@@ -48,10 +48,9 @@ def powers(z, n):
     sqrt(l) eps, as their signs vary. numpy's power operator on an array
     of exponents rounds each power on its own, with errors of hundreds of
     eps near l = 500 for |z| = 1 that are uncorrelated from one power to
-    the next. The running product's error instead drifts slowly in l, so
-    z^l conj(z^(l+d)) is nearly constant along each diagonal d of a Gram
-    built from these rows, which is what the Pascal differences of its
-    forms need.
+    the next. The running product's error instead drifts slowly in l.
+    Every power row in the package comes from here: the Gram generators,
+    the moment matrix and recovery's Vandermonde.
     """
     z = np.asarray(z, dtype=complex)
     out = np.empty(z.shape + (int(n),), dtype=complex)

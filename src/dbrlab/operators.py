@@ -5,10 +5,11 @@ hyperexpansivity form of the shift, compressed to span{1, ..., z^(N-1-n)},
 is the n-th iterated diagonal difference of G^T, X -> X[:-1, :-1] - X[1:, 1:]
 (Pascal's rule on the alternating binomial sum of shifted Gram blocks). The
 shift is n-hyperexpansive on the space exactly when those forms are
-negative semidefinite. A `GramMatrix` G = I + sum_r T_r T_r^H gives each
-form as one product on its Toeplitz generator rows, B_n^T = -X C_n X^H,
-without its entries; the two H(b) checks, the ratio identity and the
-rank-1 defect, read those generators only.
+negative semidefinite, and the defect is minus the transposed order-1 form.
+A `GramMatrix` G = I + sum_r T_r T_r^H gives each form, the defect
+included, as one product on its Toeplitz generator rows,
+B_n^T = -X C_n X^H, without its entries; the two H(b) checks, the ratio
+identity and the rank-1 defect, read those generators only.
 """
 
 import math
@@ -182,11 +183,14 @@ def certify_nsd(B, tol=NSD_TOL, order=None):
 
 
 def defect_matrix(G):
-    """D[i][j] = G[i+1][j+1] - G[i][j]: the Gram of the shift defect T*T - I."""
-    A = np.asarray(G, dtype=complex)
-    if A.shape[0] < 2:
-        raise ValueError("need a Gram matrix of size >= 2")
-    return A[1:, 1:] - A[:-1, :-1]
+    """D[i][j] = G[i+1][j+1] - G[i][j]: the Gram of the shift defect T*T - I.
+
+    D = -B_1^T, the order-1 form: from a GramMatrix that is U1^T conj(U1)
+    on its generator rows, with no entries built; from a plain array, the
+    difference itself. A size below 2 raises ValueError.
+    """
+    D = hyperexpansive_form(G, 1).T
+    return np.negative(D, out=D)
 
 
 def _cholesky_factor(A, s):

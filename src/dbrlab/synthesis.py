@@ -70,14 +70,7 @@ def synthesized_pair(alpha, lam):
     return pythagorean_mate(synthesize_symbol(alpha, lam).symbol())
 
 
-def _equality_grams(alpha, lam, n):
-    """The D(mu) and H(b) `GramMatrix`es of size n >= 2 for mu = |alpha|^2 delta_lam."""
-    if int(n) < 2:
-        raise ValueError("need Gram size >= 2")
-    return dmu_gram(point_mass(alpha, lam), n), hb_gram(synthesized_pair(alpha, lam), n)
-
-
-def _equality_certificate(alpha, lam, G, G_b, tol):
+def equality_certificate(alpha, lam, G, G_b, tol):
     """Norm-equality certificate of the D(mu) Gram G against the H(b) Gram G_b
     on their generator rows U and V (at most one each: one atom, one f+ row).
 
@@ -106,25 +99,12 @@ def _equality_certificate(alpha, lam, G, G_b, tol):
 
 def verify_norm_equality(alpha, lam, n, tol=1e-9):
     """Compare the D(mu) and H(b) monomial Grams on their generator rows: the
-    witness bounds their largest entry deviation (`_equality_certificate`). tol
+    witness bounds their largest entry deviation (`equality_certificate`). tol
     is relative: the witness is compared with tol * max|G_dmu| (>= 1, the H^2
-    part), because the entries, and their roundoff, grow like |alpha|^2 N."""
-    return _equality_certificate(alpha, lam, *_equality_grams(alpha, lam, n), tol)
+    part), because the entries, and their roundoff, grow like |alpha|^2 N.
+    n must be >= 2."""
+    if int(n) < 2:
+        raise ValueError("need Gram size >= 2")
+    G, G_b = dmu_gram(point_mass(alpha, lam), n), hb_gram(synthesized_pair(alpha, lam), n)
+    return equality_certificate(alpha, lam, G, G_b, tol)
 
-
-def corollary_params(beta, gamma, tol=1e-10):
-    """Invert the circle specialization: (beta, gamma) -> (weight, unit atom).
-
-    Requires |beta| + |gamma| = 1 with beta != 0; then the measure is
-    weight * delta_lam with weight = |gamma|^2 / |beta| and
-    lam = conj(beta)/|beta| on the unit circle.
-    """
-    beta = complex(beta)
-    gamma = complex(gamma)
-    if abs(beta) == 0:
-        raise ValueError("beta must be nonzero")
-    if abs(abs(beta) + abs(gamma) - 1) > tol:
-        raise ValueError(
-            f"|beta| + |gamma| = {abs(beta) + abs(gamma)} must equal 1"
-        )
-    return abs(gamma) ** 2 / abs(beta), np.conj(beta) / abs(beta)

@@ -217,3 +217,19 @@ def classify_symbol(b):
     s, _, root = _s_and_p(b.c, b.gamma, b.beta)
     two_iso = abs(s - 2 * abs(root)) <= TWO_ISOMETRY_TOL
     return SymbolClassification(completely_hyperexpansive=True, two_isometry=two_iso)
+
+
+def corollary_params(beta, gamma, tol=1e-10):
+    """Invert the circle specialization: (beta, gamma) -> (weight, unit atom).
+
+    Requires |beta| + |gamma| = 1 with beta != 0; then the measure is
+    weight * delta_lam with weight = |gamma|^2 / |beta| and
+    lam = conj(beta)/|beta| on the unit circle.
+    """
+    beta = complex(beta)
+    gamma = complex(gamma)
+    if abs(beta) == 0:
+        raise ValueError("beta must be nonzero")
+    if abs(abs(beta) + abs(gamma) - 1) > tol:
+        raise ValueError(f"|beta| + |gamma| = {abs(beta) + abs(gamma)} must equal 1")
+    return abs(gamma) ** 2 / abs(beta), np.conj(beta) / abs(beta)

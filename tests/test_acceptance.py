@@ -33,11 +33,12 @@ from dbrlab.operators import (
     ratio_identity_check,
 )
 from dbrlab.synthesis import (
-    corollary_params,
     synthesize_symbol,
     synthesized_pair,
     verify_norm_equality,
 )
+
+from oracles import corollary_params
 
 # (alpha, lambda) parameter set shared by criteria 3, 9, 10
 PAIR_SET = [

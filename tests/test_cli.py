@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dbrlab
-from dbrlab import cli, synthesis
+from dbrlab import cli, dirichlet, synthesis
 from dbrlab.cli import gram_from_csv_text, gram_to_csv_text, main, parse_complex
 from dbrlab.debranges import MoebiusSymbol
 from dbrlab.dirichlet import PointMassMeasure, dmu_gram, moment_matrix
@@ -75,6 +75,13 @@ BAD_FILES = {
     "no_atoms": '{"atom": []}',
     "bad_atom": '{"atoms": [0.5]}',
     "no_beta": '{"c": {"re": 0.1, "im": 0.0}, "gamma": {"re": 0.2, "im": 0.0}}',
+    # Python's json reads NaN, Infinity and 1e400 (as inf)
+    "nan_location": '{"atoms": [{"re": NaN, "im": 0.0, "weight": 1.0}]}',
+    "inf_location": '{"atoms": [{"re": 0.0, "im": -Infinity, "weight": 1.0}]}',
+    "huge_location": '{"atoms": [{"re": 1e400, "im": 0.0, "weight": 1.0}]}',
+    "nan_cell": "1.0,0.0,nan,0.0\n0.5,0.0,1.0,0.0\n",
+    "inf_cell": "1.0,0.0,0.5,inf\n0.5,0.0,1.0,0.0\n",
+    "huge_cell": "1e400,0.0\n",
 }
 
 
@@ -114,6 +121,14 @@ BAD_FILES = {
         ["certify", "--measure", "{no_atoms}"],
         ["certify", "--measure", "{bad_atom}"],
         ["recover", "--measure", "{negative}"],
+        ["certify", "--measure", "{nan_location}", "--size", "8"],
+        ["certify", "--measure", "{inf_location}", "--size", "8"],
+        ["certify", "--measure", "{huge_location}", "--size", "8"],
+        ["recover", "--measure", "{nan_location}"],
+        ["verify-equality", "--measure", "{nan_location}"],
+        ["recover", "--moments", "{nan_cell}"],
+        ["recover", "--moments", "{inf_cell}"],
+        ["recover", "--moments", "{huge_cell}"],
         ["verify-equality", "--measure", "{malformed}"],
         ["mate", "--symbol", "{malformed}"],
         ["mate", "--symbol", "{no_beta}"],
@@ -293,6 +308,24 @@ class TestVerifyEquality:
         want = hb_gram(synthesized_pair(1, 0.5), 24).entries
         assert prefix.with_suffix(".hb.csv").read_text() == gram_to_csv_text(want)
 
+    def test_out_builds_each_gram_entries_once(self, tmp_path, monkeypatch, capsys):
+        # the certificate reads the generator rows only; each N x N Gram is
+        # built once, for its CSV, and only under --out
+        builds = []
+        build = dirichlet._toeplitz_gram
+
+        def counted(U):
+            builds.append(U.shape)
+            return build(U)
+
+        monkeypatch.setattr(dirichlet, "_toeplitz_gram", counted)
+        prefix = tmp_path / "eq"
+        args = ["verify-equality", "--alpha", "1", "--lambda", "0.5", "--size", "24"]
+        assert main(args) == 0 and builds == []
+        assert main(args + ["--out", str(prefix)]) == 0
+        assert builds == [(1, 24), (1, 24)]
+        assert prefix.with_suffix(".json").read_text() == capsys.readouterr().out
+
     def test_measure_file(self, tmp_path, capsys):
         path = write_measure(tmp_path, PointMassMeasure.single(0.5, 1.0))
         assert main(["verify-equality", "--measure", path, "--size", "12"]) == 0
@@ -352,11 +385,34 @@ class TestCertify:
         # every order passes on the factor's bound
         mu = PointMassMeasure(atoms=((0.6 + 0.8j, 50.0), (0.3 + 0.1j, 0.5)))
         path = write_measure(tmp_path, mu)
-        main(["certify", "--measure", path, "--size", "512", "--n-max", "5"])
+        assert main(["certify", "--measure", path, "--size", "512", "--n-max", "5"]) == 0
         certs = json.loads(capsys.readouterr().out)["certificates"]
         nsd = [c for c in certs if c["kind"] == "nsd"]
         assert [c["context"]["order"] for c in nsd] == [1, 2, 3, 4, 5]
         assert all(c["pass"] and c["context"]["route"] == "sketch" for c in nsd)
+        assert len(certs) == 7 and all(c["pass"] for c in certs)
+
+    @pytest.mark.parametrize(
+        "atoms, size, n_max, nsd_fails",
+        [
+            (((0.6 + 0.8j, 1000.0), (0.3 + 0.1j, 0.5)), 512, 5, [4, 5]),
+            (((0.5, 1e160),), 16, 2, [1, 2]),
+        ],
+    )
+    def test_heavy_atom_passes_the_moment_identity(
+        self, tmp_path, capsys, atoms, size, n_max, nsd_fails
+    ):
+        # the defect is the order-1 product on the generator rows, without the
+        # roundoff of the Gram's cumulative sums that failed the identity here
+        # (4.0e-11 and 6.8e143 against 1e-12). The nsd FAILs at these orders
+        # are roundoff against the absolute NSD_TOL: the forms are NSD
+        path = write_measure(tmp_path, PointMassMeasure(atoms=atoms))
+        argv = ["certify", "--measure", path, "--size", str(size), "--n-max", str(n_max)]
+        assert main(argv) == 1
+        certs = json.loads(capsys.readouterr().out)["certificates"]
+        failed = [c["context"]["order"] for c in certs if not c["pass"]]
+        assert failed == nsd_fails
+        assert [c["kind"] for c in certs[-2:]] == ["moment-identity", "defect-rank"]
 
     def test_overflowing_bound_is_strict_json(self, tmp_path, capsys):
         # weight 1e200 overflows the factor's bound of the order-2 form (its

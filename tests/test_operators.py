@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from dbrlab.debranges import MoebiusSymbol, hb_inner, pythagorean_mate, validate_symbol
 from dbrlab.dirichlet import PointMassMeasure, dmu_gram, moment_matrix
-from dbrlab.moments import recover_atoms
+from dbrlab.moments import recover_atoms, roundtrip_check
 from dbrlab.operators import (
     BLOCK_ROWS,
     SKETCH_COLS,
@@ -21,7 +23,7 @@ from dbrlab.operators import (
     rank1_defect_check,
     ratio_identity_check,
 )
-from dbrlab import dirichlet
+from dbrlab import cli, dirichlet
 from dbrlab.synthesis import synthesized_pair, verify_norm_equality
 from dbrlab.debranges import hb_gram
 
@@ -35,6 +37,13 @@ from oracles import (
 from test_dirichlet import random_measure
 
 EPS = np.finfo(float).eps
+
+
+def no_entries():
+    """A patch under which a read of any GramMatrix's N x N entries raises."""
+    return mock.patch.object(
+        dirichlet, "_toeplitz_gram", side_effect=AssertionError("the dense Gram was built")
+    )
 
 
 class TestHyperexpansiveForm:
@@ -95,12 +104,27 @@ def test_generator_forms_equal_the_pascal_forms(k, case, seed):
     N, n = case
     rng = np.random.default_rng(seed)
     G = dirichlet.GramMatrix(rng.standard_normal((k, N)) + 1j * rng.standard_normal((k, N)))
-    got = hyperexpansive_form(G, n)
-    assert "entries" not in vars(G)
+    with no_entries():
+        got = hyperexpansive_form(G, n)
     *_, want = hyperexpansive_forms(G.entries, n)
     assert got.shape == want.shape == (N - n, N - n)
     assert got.flags.f_contiguous and want.flags.f_contiguous
     assert np.abs(got - want).max() <= 2**n * N * EPS * np.abs(G.entries).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(0, 3), N=st.integers(2, 200), seed=st.integers(0, 2**32 - 1))
+@example(k=3, N=200, seed=0)
+def test_generator_defect_equals_the_entries_difference(k, N, seed):
+    # U1^T conj(U1) on k random complex generator rows against the difference
+    # of the Gram's entries, each a cumulative sum of up to N products
+    rng = np.random.default_rng(seed)
+    G = dirichlet.GramMatrix(rng.standard_normal((k, N)) + 1j * rng.standard_normal((k, N)))
+    with no_entries():
+        D = defect_matrix(G)
+    A = G.entries
+    assert D.shape == (N - 1, N - 1) and D.flags.c_contiguous
+    assert np.abs(D - (A[1:, 1:] - A[:-1, :-1])).max() <= 2 * N * EPS * np.abs(A).max()
 
 
 class TestCertifyNsd:
@@ -183,6 +207,35 @@ class TestDefectAndRank:
 
     def test_identity_gram_zero_defect(self):
         assert np.all(defect_matrix(np.eye(4)) == 0)
+
+    @pytest.mark.parametrize("N", [2, 3, 17])
+    def test_plain_array_defect_is_the_difference(self, N):
+        rng = np.random.default_rng(N)
+        real = rng.standard_normal((N, N))
+        for A in (real, real + 1j * rng.standard_normal((N, N))):
+            D = defect_matrix(A)
+            assert D.dtype == complex and D.flags.c_contiguous
+            assert np.all(D == A[1:, 1:] - A[:-1, :-1])
+
+    @pytest.mark.parametrize(
+        "G", [np.eye(1), np.zeros((0, 0)), dmu_gram(PointMassMeasure.single(0.5, 1.0), 1)]
+    )
+    def test_defect_needs_size_two(self, G):
+        with pytest.raises(ValueError):
+            defect_matrix(G)
+
+    def test_no_certificate_reads_the_entries(self, tmp_path, capsys):
+        # the CLI's certify (forms, moment identity, defect rank) and the
+        # round trip run on the generator rows alone
+        mu = PointMassMeasure(atoms=((0.5, 1.0), (-0.3 + 0.4j, 0.5), (1j, 0.2)))
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps(mu.to_json_dict()))
+        argv = ["certify", "--measure", str(path), "--size", "64", "--n-max", "5"]
+        with no_entries():
+            assert cli.main(argv) == 0
+            assert roundtrip_check(mu, 24).passed
+        certs = json.loads(capsys.readouterr().out)["certificates"]
+        assert len(certs) == 7 and all(c["pass"] for c in certs)
 
     def test_hb_defect_is_single_atom_moment(self):
         alpha, lam = 1.0, 0.5
@@ -623,10 +676,10 @@ class TestPanelMemory:
         # one product on the generator rows: the result is the only N x N
         # array, and the Gram's entries are never built
         G = three_atom_gram(512)
-        B, peak = peak_bytes(hyperexpansive_form, G, 5)
+        with no_entries():
+            B, peak = peak_bytes(hyperexpansive_form, G, 5)
         assert B.shape == (507, 507)
         assert peak < 1.25 * self.NN
-        assert "entries" not in vars(G)
 
     def test_hb_checks_build_no_gram_entries(self):
         # both H(b) checks run on the generator row: no N x N array, and the
@@ -637,20 +690,26 @@ class TestPanelMemory:
         def both():
             return ratio_identity_check(G, pair, 8), rank1_defect_check(G, pair)
 
-        (ratio, rank1), peak = peak_bytes(both)
+        with no_entries():
+            (ratio, rank1), peak = peak_bytes(both)
         assert ratio.passed and rank1.passed
         assert peak < 0.25 * self.NN
-        assert "entries" not in vars(G)
 
-    def test_norm_equality_builds_no_gram_entries(self, monkeypatch):
+    def test_norm_equality_builds_no_gram_entries(self):
         # the certificate compares the two generator rows: no N x N array
-        def build(U):
-            raise AssertionError("the dense Gram was built")
-
-        monkeypatch.setattr(dirichlet, "_toeplitz_gram", build)
-        cert, peak = peak_bytes(verify_norm_equality, 1, 0.5, 512)
+        with no_entries():
+            cert, peak = peak_bytes(verify_norm_equality, 1, 0.5, 512)
         assert cert.passed and cert.context["route"] == "generators"
         assert peak < 0.25 * self.NN
+
+    def test_defect_is_one_array_from_the_generators(self):
+        # U1^T conj(U1), negated in place: the result is the only N x N array,
+        # against a difference of the entries, which peaks at two
+        G = three_atom_gram(513)
+        with no_entries():
+            D, peak = peak_bytes(defect_matrix, G)
+        assert D.shape == (512, 512)
+        assert peak < 1.25 * self.NN
 
     def test_recovery_holds_no_hermitian_copy(self):
         # the factor decides the rank on D itself: no N x N Hermitian part

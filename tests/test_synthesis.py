@@ -6,15 +6,14 @@ from hypothesis import strategies as st
 from dbrlab.debranges import MoebiusSymbol, SymbolError, hb_gram
 from dbrlab.dirichlet import PointMassMeasure, dmu_gram
 from dbrlab.synthesis import (
-    _equality_certificate,
-    _equality_grams,
-    corollary_params,
+    equality_certificate,
+    point_mass,
     synthesize_symbol,
     synthesized_pair,
     verify_norm_equality,
 )
 
-from oracles import classify_symbol
+from oracles import classify_symbol, corollary_params
 
 
 class TestSynthesizeSymbol:
@@ -137,10 +136,10 @@ def test_equality_certificate_bounds_and_detects(modulus, phase, radius, theta, 
         false_alpha, false_lam = alpha, lam * np.exp(1j * delta)
     else:
         false_alpha, false_lam = alpha, lam + delta * np.exp(1j * psi)
-    G, G_b = _equality_grams(alpha, lam, N)
+    G, G_b = dmu_gram(point_mass(alpha, lam), N), hb_gram(synthesized_pair(alpha, lam), N)
     F_b = hb_gram(synthesized_pair(false_alpha, false_lam), N)
-    true = _equality_certificate(alpha, lam, G, G_b, 1e-9)
-    false = _equality_certificate(alpha, lam, G, F_b, 1e-9)
+    true = equality_certificate(alpha, lam, G, G_b, 1e-9)
+    false = equality_certificate(alpha, lam, G, F_b, 1e-9)
     assert true.passed and true.context["route"] == "generators"
     assert not false.passed
     # the witness bounds max|G - H| of the exact Grams of the rows U and V.
