@@ -30,6 +30,7 @@ from .debranges import (
 )
 from .operators import (
     Certificate,
+    FactoredForm,
     certify_nsd,
     defect_matrix,
     hyperexpansive_form,
@@ -50,6 +51,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Certificate",
+    "FactoredForm",
     "GramMatrix",
     "MoebiusSymbol",
     "PointMassMeasure",

@@ -219,7 +219,7 @@ def cmd_certify(args):
     ]
     D = defect_matrix(G)
     M = moment_matrix(mu, args.size - 1)
-    dev = float(np.abs(D - M).max())
+    dev = float(np.abs(np.asarray(D) - M).max())
     moment_tol = _tol(args, "moment")
     certs.append(
         Certificate(
@@ -237,7 +237,7 @@ def cmd_certify(args):
             passed=rank == len(mu),
             witness=float(rank),
             tolerance=float(len(mu)),
-            context={"atoms": len(mu)},
+            context={"atoms": len(mu), "route": "factor"},
         )
     )
     _dump({"certificates": [c.to_json_dict() for c in certs]}, args.out)

@@ -6,6 +6,7 @@ column space (ESPRIT-style) and the weights by least squares against the
 rank-one Vandermonde outer products, then checked positive.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,9 +16,9 @@ from .dirichlet import PointMassMeasure, dmu_gram
 from .operators import (
     RANK_TOL,
     Certificate,
-    _residual_squares,
-    _sketch_rank,
-    _svd_rank,
+    FactoredForm,
+    _core,
+    _count_above,
     defect_matrix,
 )
 
@@ -47,24 +48,19 @@ class RecoveryResult:
 def recover_atoms(M, k=None, rank_tol=RANK_TOL):
     """Invert the moment map: locations via shift invariance, weights via least squares.
 
-    k is the expected atom count; when omitted it is set to the numerical
-    rank of M, that of its Hermitian part H at rank_tol: the number of
-    |eigenvalues| of H above rank_tol times the largest, decided once by
-    `_sketch_rank`: by its certified pivoted Cholesky factor H ~ L L^H,
-    without an N x N eigensolve, when the rank is small, and by the SVD of
-    H only when the factor leaves it undecided. The factor runs on M in
-    place, as it reads only the columns of H and its bound on M is also one
-    on H: the N x N H is built only for that SVD or for the dense eigh
-    below. k < 0 raises RecoveryError. Requires at least k+1 rows of moments.
+    M is a FactoredForm Y diag(c) Y^H, as `defect_matrix` gives for a
+    GramMatrix, or a square array. One `eigh` gives both the rank and the
+    basis: for a FactoredForm F = Q S Q^H (`_core`) that of its small core
+    S, whose eigenvectors W give the Ritz basis Q W, without an N x N
+    array; for an array that of its Hermitian part H.
+
+    k is the expected atom count; when omitted it is the numerical rank at
+    rank_tol: the number of |eigenvalues| above rank_tol times the largest,
+    none when that is at most ZERO_SIGMA. k < 0 raises RecoveryError.
+    Requires at least k+1 rows of moments.
 
     The column space used for the locations is that of the k largest-|eigenvalue|
-    directions of H. When the factor has at least k columns they come
-    without an N x N eigensolve, as its deterministic Ritz basis: Q times
-    the eigenvectors of the small S = R R^H with the k largest |eigenvalues|,
-    where L = Q R (Rayleigh-Ritz on L L^H), from the one eigensolve of S
-    that `_sketch_rank` takes for the rank. With fewer factor columns than
-    k the basis is that of a dense eigh of H.
-    For the moment matrix of a positive measure these are its k positive
+    directions. For the moment matrix of a positive measure these are its k positive
     eigenvalues. For a signed input the negative directions count by their
     size too, unlike a basis of the top k algebraic eigenvectors: the fit
     then finds the negative weight and raises RecoveryError instead of
@@ -76,22 +72,28 @@ def recover_atoms(M, k=None, rank_tol=RANK_TOL):
     otherwise the constrained optimum has a zero weight, which is rejected too.
     With the Vandermonde factor V = QR, ||M - V W V^H||_F^2 and
     ||Q^H M Q - R W R^H||_F^2 differ by a constant, so the fit is solved on
-    the k^2 entries of the second.
+    the k^2 entries of the second; for a FactoredForm, Q^H M Q is
+    (Q^H Y) diag(c) (Q^H Y)^H. The reported residual is ||M - V W V^H||_F
+    (`_residual`).
     """
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise RecoveryError("moment matrix must be square")
+    factored = isinstance(M, FactoredForm)
+    if factored:
+        Qf, S = _core(M)
+    else:
+        M = np.asarray(M, dtype=complex)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise RecoveryError("moment matrix must be square")
+        S = (M + M.conj().T) / 2
     N = M.shape[0]
-    rank, Q, eig = _sketch_rank(M, rank_tol)
-    if rank is None:
-        rank = _svd_rank(_hermitian_part(M), rank_tol)
+    lam, W = np.linalg.eigh(S)
+    rank = _count_above(np.abs(lam), rank_tol)
     k = rank if k is None else int(k)
     if k < 0:
         raise RecoveryError(f"atom count {k} must be >= 0")
     if k == 0:
         return RecoveryResult(
             measure=PointMassMeasure.empty(),
-            residual=float(np.linalg.norm(M)),
+            residual=_residual(M, np.zeros((N, 0)), np.zeros(0)),
             condition=1.0,
         )
     if k > rank:
@@ -99,11 +101,9 @@ def recover_atoms(M, k=None, rank_tol=RANK_TOL):
     if N < k + 1:
         raise RecoveryError(f"need at least {k + 1} moment rows for {k} atoms")
 
-    ritz = k <= Q.shape[1]
-    lam, W = eig if ritz else np.linalg.eigh(_hermitian_part(M))
     U = W[:, np.argsort(-np.abs(lam))[:k]]
-    if ritz:
-        U = Q @ U
+    if factored:
+        U = Qf @ U
 
     # column space is Vandermonde: U shifted down one row = U times Phi
     Phi, *_ = np.linalg.lstsq(U[:-1, :], U[1:, :], rcond=None)
@@ -125,26 +125,42 @@ def recover_atoms(M, k=None, rank_tol=RANK_TOL):
     Q, R = np.linalg.qr(V)
     # column i of the basis is R[:, i] R[:, i]^H, the image of atom i's outer product
     basis = (R[:, np.newaxis, :] * R.conj()[np.newaxis, :, :]).reshape(k * k, k)
-    target = (Q.conj().T @ M @ Q).ravel()
+    if factored:
+        target = np.asarray(FactoredForm(Q.conj().T @ M.factor, M.weights)).ravel()
+    else:
+        target = (Q.conj().T @ M @ Q).ravel()
     A = np.vstack([basis.real, basis.imag])
     rhs = np.concatenate([target.real, target.imag])
     weights, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     if np.any(weights <= WEIGHT_FLOOR):
         raise RecoveryError("recovered a nonpositive atom weight")
 
-    # ||M - V W V^H||_F, summed in row blocks, so no N x N temporary
-    residual = float(np.sqrt(_residual_squares(M, V * weights, V.conj().T, 1.0)))
+    residual = _residual(M, V, weights)
     condition = float(np.linalg.cond(V))
     measure = PointMassMeasure(atoms=tuple(zip(locs, weights)))
     return RecoveryResult(measure=measure, residual=residual, condition=condition)
 
 
-def _hermitian_part(M):
-    """(M + M^H) / 2 in one N x N array, C-ordered like M."""
-    H = np.conj(M.T, order="C")
-    H += M
-    H *= 0.5
-    return H
+def _residual(M, V, w):
+    """||M - V diag(w) V^H||_F. For a FactoredForm Y diag(c) Y^H that is the
+    norm of the core of the FactoredForm [Y, V] with weights (c, -w), as
+    Q S Q^H has the norm of S; for an array, that of the difference."""
+    if isinstance(M, FactoredForm):
+        _, D = _core(FactoredForm(np.hstack([M.factor, V]), np.concatenate([M.weights, -w])))
+    else:
+        D = M - (V * w) @ V.conj().T
+    return _frobenius(D)
+
+
+def _frobenius(A):
+    """||A||_F, summed on A times a power of two near 1 / max|A|, so that no
+    square of an entry near max|A| overflows or underflows."""
+    top = float(np.abs(A).max(initial=0.0))
+    if not 0 < top < math.inf:
+        return top
+    # capped, as 2^1074 (for a subnormal max) overflows
+    scale = 2.0 ** -max(math.frexp(top)[1], -1000)
+    return float(np.linalg.norm(A * scale)) / scale
 
 
 def match_atoms(expected, recovered):

@@ -7,8 +7,9 @@ is the n-th iterated diagonal difference of G^T, X -> X[:-1, :-1] - X[1:, 1:]
 shift is n-hyperexpansive on the space exactly when those forms are
 negative semidefinite, and the defect is minus the transposed order-1 form.
 A `GramMatrix` G = I + sum_r T_r T_r^H gives each form, the defect
-included, as one product on its Toeplitz generator rows,
-B_n^T = -X C_n X^H, without its entries; the two H(b) checks, the ratio
+included, as the `FactoredForm` of its Toeplitz generator rows,
+B_n^T = -X C_n X^H, without its entries, and the NSD verdict and the rank
+are decided on that factor's small core; the two H(b) checks, the ratio
 identity and the rank-1 defect, read those generators only.
 """
 
@@ -24,17 +25,6 @@ NSD_TOL = 1e-10
 RANK_TOL = 1e-8
 # a matrix whose sigma_1 is at most this has numerical rank 0
 ZERO_SIGMA = 1e-300
-# the factor of `_cholesky_factor` takes at most this many columns; numerical_rank
-# decides larger ranks by SVD
-SKETCH_COLS = 8
-# c in the rounding allowances of the factor's residual (the length-p complex
-# products of L L^H, at most sqrt(2) (p + 2) eps / 2 of |L||L|^T entrywise,
-# Higham 2002, sec. 3.5-3.6) and of the rank's QR and p x p eigh (ch. 19),
-# with room
-SKETCH_ROUNDING = 3
-# rows formed at a time by the blocked residuals of the factor and of the
-# recovery, so that no N x N temporary is allocated
-BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -62,12 +52,46 @@ class Certificate:
         }
 
 
+@dataclass(frozen=True)
+class FactoredForm:
+    """The Hermitian form F = Y diag(c) Y^H, held as its exact factor.
+
+    Y (`factor`, m x p) and c (`weights`, p real numbers) are read-only
+    copies. Every form and the defect of a GramMatrix with k generator rows
+    come as one (`hyperexpansive_form`, `defect_matrix`), p at most k n at
+    order n, so no m x m array is built. `certify_nsd`, `numerical_rank`
+    and `recover_atoms` decide on it from one thin QR Y = Q R and the small
+    core R diag(c) R^H (`_core`). np.asarray(F) gives the m x m entries.
+    """
+
+    factor: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        Y = np.array(self.factor, dtype=complex)
+        c = np.array(self.weights, dtype=float)
+        if Y.ndim != 2 or c.shape != (Y.shape[1],):
+            raise ValueError("factor must be m x p, with p real weights")
+        Y.setflags(write=False)
+        c.setflags(write=False)
+        object.__setattr__(self, "factor", Y)
+        object.__setattr__(self, "weights", c)
+
+    @property
+    def shape(self):
+        return (len(self.factor),) * 2
+
+    def __array__(self, dtype=None, copy=None):
+        Y = self.factor
+        return np.asarray((Y * self.weights) @ Y.conj().T, dtype=dtype)
+
+
 def hyperexpansive_forms(G, n_max):
     """Yield the forms B_1 .. B_n_max, B_n[j][k] = sum_i (-1)^i C(n,i) G[k+i][j+i].
 
-    From a GramMatrix each form is one product on its generator rows
-    (`_generator_form`), and its entries are never built. From a plain
-    array, Pascal's rule C(n+1, i) = C(n, i) + C(n, i-1) gives
+    From a GramMatrix each form is the FactoredForm of its generator rows
+    (`_generator_form`), and no N x N array is built. From a plain array,
+    Pascal's rule C(n+1, i) = C(n, i) + C(n, i-1) gives
     B_(n+1) = B_n[:-1, :-1] - B_n[1:, 1:] from B_0 = G^T: one subtraction
     per order. Consume it in a loop, so that only two forms are alive.
     """
@@ -89,8 +113,8 @@ def hyperexpansive_form(G, n):
     """Order-n form B_n, the compression of the order-n hyperexpansivity sum
     of the shift to the monomials z^0 .. z^(N-1-n); see hyperexpansive_forms.
 
-    A GramMatrix gives one `_generator_form`, the transpose of a C-ordered
-    array; a plain array gives the last form of hyperexpansive_forms(G, n).
+    A GramMatrix gives one `_generator_form`, a FactoredForm; a plain array
+    gives the last form of hyperexpansive_forms(G, n).
     """
     n = int(n)
     if n < 1:
@@ -123,60 +147,77 @@ def _generator_form(U, n):
 
     The defect is U1^T conj(U1), U1 = U[:, 1:], and B_n^T is minus the
     alternating binomial sum of its n shifted diagonal blocks, so
-    B_n^T = -(X C_n) X^H: X the (N - n) x (k n) `_hankel` matrix and
-    C_n = I_k ⊗ diag((-1)^j C(n-1, j)). That is one product of
-    O(N^2 k n) work, no difference of the cumulative Gram entries, whose
-    rounding the n-th Pascal difference would amplify by up to 2^n.
+    B_n^T = -X C_n X^H: X the (N - n) x (k n) `_hankel` matrix and
+    C_n = I_k ⊗ diag((-1)^j C(n-1, j)). Transposed, B_n is the FactoredForm
+    Y diag(c) Y^H with Y = conj(X) and c = -diag(C_n): an exact factor, with
+    no difference of the cumulative Gram entries, whose rounding the n-th
+    Pascal difference would amplify by up to 2^n.
     """
     k, N = U.shape
-    X = _hankel(U, n, N - n)
-    return ((X * np.tile(-_pascal(n, n), k)) @ X.conj().T).T
+    return FactoredForm(np.conj(_hankel(U, n, N - n)), -np.tile(_pascal(n, n), k))
+
+
+def _core(F):
+    """(Q, S): the thin QR F.factor = Q R and the core S = R diag(c) R^H of
+    the FactoredForm F, so that F = Q S Q^H.
+
+    S is p' x p', p' = min(m, p) for the m x p factor. F has the eigenvalues
+    of S and, when m > p', the eigenvalue 0 on the complement of Q's range.
+    A NaN or infinite factor raises ValueError.
+    """
+    Y = F.factor
+    if not np.isfinite(Y).all():
+        raise ValueError("factor has a NaN or infinite entry")
+    Q, R = np.linalg.qr(Y)
+    return Q, (R * F.weights) @ R.conj().T
 
 
 def certify_nsd(B, tol=NSD_TOL, order=None):
     """Certify a Hermitian form negative semidefinite: its top eigenvalue is <= tol.
 
-    H is the Hermitian part of B. First `_cholesky_factor` gives, in O(N^2)
-    work, -H ~ L L^H and e >= ||B + L L^H||_F >= ||H + L L^H||_2. As -L L^H
-    is NSD, Weyl's inequality gives lambda_max(H) <= e: the certificate
-    passes on the factor's route when e <= tol, as it does for every form
-    of an atomic measure, which has low rank. A transposed view (as
-    `hyperexpansive_form` and `hyperexpansive_forms` return) is factored
-    as its C-ordered transpose, whose Hermitian part H^T has the same
-    spectrum.
+    A FactoredForm F = Q S Q^H (`_core`) is decided on route "factor" from
+    the eigenvalues of its small core S. The top eigenvalue of F is the
+    largest of them and, when the factor has more rows than S, the 0 of the
+    complement of Q's range. That top eigenvalue is the witness, the
+    certificate passes when it is <= tol, and context["core"] is the size
+    of S.
 
-    A form with a NaN or infinite entry raises ValueError: its bound is
-    non-finite, and no route can decide it. When the factor does not decide
-    (a full-rank or non-Hermitian form, a top eigenvalue near tol, a bound
-    that overflows), the factor is released and one Cholesky
-    factorization of tol*I - H decides: it succeeds only when every
+    A plain array is decided on route "cholesky" from its Hermitian part H:
+    one Cholesky factorization of tol*I - H succeeds only when every
     eigenvalue of H lies below tol (Rump, "Verification of positive
-    definiteness", BIT 2006). On PASS, by either route, the witness is
-    max Re diag H, a Rayleigh-quotient lower bound on the top eigenvalue.
-    When the factorization fails, eigvalsh(H) gives the top eigenvalue as
-    the witness and the verdict top <= tol. context["witness"] names which
-    of the two, "diagonal" or "eigenvalue", was reported; context["route"]
-    names the deciding route, "sketch" (the factor) or "cholesky", and
-    context["bound"] is e; order only labels context["order"].
+    definiteness", BIT 2006). Then the certificate passes, and its witness
+    is max Re diag H, a Rayleigh-quotient lower bound on the top
+    eigenvalue. When the factorization fails, eigvalsh(H) gives the top
+    eigenvalue as the witness and the verdict top <= tol.
+
+    A NaN or infinite entry, in the form or in its factor, raises
+    ValueError: no route can decide it. context["witness"] names what was
+    reported, "diagonal" or "eigenvalue"; context["route"] the route;
+    context["size"] the form's size; order only labels context["order"].
     """
+    if isinstance(B, FactoredForm):
+        m = B.shape[0]
+        S = _core(B)[1]
+        lam = np.linalg.eigvalsh(S)
+        top = float(lam.max(initial=0.0 if len(S) < m else -np.inf))
+        context = {"order": order, "size": m, "core": len(S), "route": "factor"}
+        context["witness"] = "eigenvalue"
+        return Certificate("nsd", top <= tol, top, tol, context)
     A = np.asarray(B, dtype=complex)
-    bound = _cholesky_factor(A.T if A.flags.f_contiguous else A, -1)[1]
-    if not np.isfinite(bound) and not np.isfinite(A).all():
+    if not np.isfinite(A).all():
         raise ValueError("form has a NaN or infinite entry")
-    route = "sketch" if bound <= tol else "cholesky"
-    context = {"order": order, "size": int(A.shape[0]), "bound": bound, "route": route}
-    if route == "cholesky":
-        C = np.conj(A.T)
-        C += A
-        C *= -0.5
-        C[np.diag_indices_from(C)] += tol
-        try:
-            np.linalg.cholesky(C)
-        except np.linalg.LinAlgError:
-            del C
-            witness = float(np.linalg.eigvalsh((A + A.conj().T) / 2)[-1])
-            context["witness"] = "eigenvalue"
-            return Certificate("nsd", witness <= tol, witness, tol, context)
+    context = {"order": order, "size": int(A.shape[0]), "route": "cholesky"}
+    C = np.conj(A.T)
+    C += A
+    C *= -0.5
+    C[np.diag_indices_from(C)] += tol
+    try:
+        np.linalg.cholesky(C)
+    except np.linalg.LinAlgError:
+        del C
+        witness = float(np.linalg.eigvalsh((A + A.conj().T) / 2)[-1])
+        context["witness"] = "eigenvalue"
+        return Certificate("nsd", witness <= tol, witness, tol, context)
     witness = float(A.diagonal().real.max()) if A.size else 0.0
     context["witness"] = "diagonal"
     return Certificate("nsd", True, witness, tol, context)
@@ -185,137 +226,25 @@ def certify_nsd(B, tol=NSD_TOL, order=None):
 def defect_matrix(G):
     """D[i][j] = G[i+1][j+1] - G[i][j]: the Gram of the shift defect T*T - I.
 
-    D = -B_1^T, the order-1 form: from a GramMatrix that is U1^T conj(U1)
-    on its generator rows, with no entries built; from a plain array, the
-    difference itself. A size below 2 raises ValueError.
+    D = -B_1^T, the order-1 form: from a GramMatrix the FactoredForm
+    U1^T conj(U1) of its generator rows, U1 = U[:, 1:], with weights 1; from
+    a plain array, the difference itself. A size below 2 raises ValueError.
     """
+    if isinstance(G, GramMatrix):
+        U = G.generators
+        _check_order(1, U.shape[1])
+        return FactoredForm(U[:, 1:].T, np.ones(len(U)))
     D = hyperexpansive_form(G, 1).T
     return np.negative(D, out=D)
 
 
-def _cholesky_factor(A, s):
-    """(L, e): a diagonal-pivoted Cholesky factor s H ~ L L^H of the square A,
-    H = (A + A^H)/2 and s = 1 or -1, and e >= ||A - s L L^H||_F.
-
-    Each step pivots on the largest diagonal entry d_i of s H - L L^H, reads
-    one column of H and appends l = (s H - L L^H) e_i / sqrt(d_i) to L
-    (Higham 2002, sec. 10.3; Harbrecht, Peters & Schneider 2012). It stops
-    after SKETCH_COLS columns, at a pivot <= 0 or <= 1e-13 of the first, or
-    before a column that would drive some d_j below -0.1 d_i: what is left
-    is then roundoff, not a PSD Schur complement, and pivoting into it only
-    inflates e. An s H of rank k <= SKETCH_COLS, as every form and defect
-    of a k-atomic measure is, takes k columns.
-
-    e is the residual of the computed L, evaluated BLOCK_ROWS rows at a
-    time, so no N x N array is allocated, times 1 + (N + 2)^2 eps for the
-    rounding of the sum of 2 N^2 squares and of the subtraction, plus
-    SKETCH_ROUNDING (p + 2) eps ||L||_F^2 for the length-p products of
-    L L^H. Those relative terms fail in the subnormal range, where each
-    operation errs by up to half the smallest subnormal t: a norm below
-    2^-484 is summed again with the residual scaled by 2^600, as the squares
-    of entries below ~2^-537 underflow, and e adds 8 N p (p + 2) t for the
-    absolute roundings of the products, above N times the (4 p - 1) t of
-    each entry (8 p - 2 real operations, t/2 each).
-    """
-    N = A.shape[0]
-    d = s * A.diagonal().real
-    floor = 1e-13 * d.max(initial=0.0)  # NaN if the diagonal holds one: no pivot passes
-    Lt = np.empty((min(SKETCH_COLS, N), N), dtype=complex)  # the columns of L
-    p = 0
-    while p < len(Lt):
-        i = int(np.argmax(d))
-        pivot = d[i]
-        if not pivot > floor:
-            break
-        col = A[:, i] + np.conj(A[i])
-        col *= 0.5 * s
-        col -= Lt[:p].T @ np.conj(Lt[:p, i])
-        col /= np.sqrt(pivot)
-        rest = d - (col.real**2 + col.imag**2)
-        if rest.min() < -0.1 * pivot:
-            break
-        Lt[p], d = col, rest
-        p += 1
-    L, W = Lt[:p].T, np.conj(Lt[:p])
-    norm = np.sqrt(_residual_squares(A, s * L, W, 1.0))
-    if norm < 2.0**-484:
-        norm = np.sqrt(_residual_squares(A, s * L, W, 2.0**600)) * 2.0**-600
-    eps = np.finfo(float).eps
-    rounding = SKETCH_ROUNDING * (p + 2) * eps * np.vdot(W, W).real
-    subnormal = 8 * N * p * (p + 2) * np.finfo(float).smallest_subnormal
-    return L, float(norm * (1 + (N + 2) ** 2 * eps) + rounding + subnormal)
-
-
-def _residual_squares(A, Q, W, scale):
-    """||(Q W - A) * scale||_F^2, BLOCK_ROWS rows at a time; scale is a
-    power of two, so scaling the tiny residuals it is used on is exact."""
-    squares = 0.0
-    for i in range(0, A.shape[0], BLOCK_ROWS):
-        R = Q[i : i + BLOCK_ROWS] @ W
-        R -= A[i : i + BLOCK_ROWS]
-        if scale != 1:
-            R *= scale
-        squares += np.vdot(R, R).real
-    return squares
-
-
-def _sketch_rank(M, tau):
-    """(count, Q, eig): the count of numerical_rank from the `_cholesky_factor`
-    M ~ L L^H (s = 1), or None when the factor leaves it undecided; Q R = L
-    is the QR of the factor and eig = (eigenvalues, eigenvectors) the one
-    `eigh` of S = R R^H, which recovery reuses for its Ritz basis.
-
-    Every singular value of M lies within e of the matching one of L L^H
-    (Weyl/Mirsky), and those are the eigenvalues of L^H L, padded with
-    zeros. Householder QR gives L + dL = Q' R with Q' unitary and
-    ||dL||_F <= h = SKETCH_ROUNDING (N + 2) p eps ||L||_F (Higham 2002,
-    thm. 19.4), so sigma_i(R)^2 lies within h (2 ||L||_F + h) of
-    sigma_i(L)^2; the product R R^H and its p x p eigh add
-    SKETCH_ROUNDING p (p + 2) eps (||L||_F + h)^2. So every singular value
-    of M lies within e' of the matching |eig S| or zero, with e' the sum of
-    the three. Let m = max |eig S|: sigma_1 lies in [m - e', m + e'],
-    tau * sigma_1 in [lo, hi] = [tau (m - e'), tau (m + e')], and the
-    factor's count is exact when the padding zeros lie below it (e' < lo)
-    and no |eig S| lies within e' of that interval. sigma_1 <= m + e' also
-    certifies a zero count when m + e' <= ZERO_SIGMA. The factor reads only
-    Herm(M) = H, and e >= ||M - L L^H||_F >= ||H - L L^H||_F, as taking the
-    Hermitian part is a Frobenius contraction and L L^H is Hermitian: a
-    decided count is also that of H. An empty M has count 0 and a
-    non-square one count None: Q and eig are then None.
-    """
+def _count_above(s, tau):
+    """The rank rule: 0 if max(s) <= ZERO_SIGMA, else the count of s above
+    tau * max(s). A tau outside (0, 1) or a NaN or infinite s raises ValueError."""
     if not 0 < tau < 1:
         raise ValueError("relative threshold must lie in (0, 1)")
-    N = M.shape[0]
-    if M.size == 0:
-        return 0, None, None
-    if M.shape[1] != N:
-        return None, None, None
-    L, e = _cholesky_factor(M, 1)
-    Q, R = np.linalg.qr(L)
-    eig = np.linalg.eigh(R @ R.conj().T)
-    lam = np.abs(eig[0])
-    m = float(lam.max(initial=0.0))
-    F, eps, p = float(np.linalg.norm(L)), np.finfo(float).eps, L.shape[1]
-    h = SKETCH_ROUNDING * (N + 2) * p * eps * F
-    e += h * (2 * F + h) + SKETCH_ROUNDING * p * (p + 2) * eps * (F + h) ** 2
-    if m + e <= ZERO_SIGMA:
-        return 0, Q, eig
-    lo, hi = tau * (m - e), tau * (m + e)
-    if m > ZERO_SIGMA and e < lo and not np.any((lam >= lo - e) & (lam <= hi + e)):
-        return int(np.count_nonzero(lam > hi)), Q, eig
-    return None, Q, eig
-
-
-def _svd_rank(M, tau):
-    """The rank rule on the singular values of M; a NaN or infinite entry raises ValueError."""
-    s = np.linalg.svd(M, compute_uv=False)
-    if not np.isfinite(s).all():  # an inf in M; a NaN makes the SVD raise
+    if not np.isfinite(s).all():
         raise ValueError("matrix has a NaN or infinite entry")
-    return _count_above(s, tau)
-
-
-def _count_above(s, tau):
-    """The rank rule: 0 if max(s) <= ZERO_SIGMA, else the count of s above tau * max(s)."""
     top = s.max(initial=0.0)
     return 0 if top <= ZERO_SIGMA else int(np.count_nonzero(s > tau * top))
 
@@ -323,14 +252,15 @@ def _count_above(s, tau):
 def numerical_rank(M, tau=RANK_TOL):
     """Number of singular values above tau * sigma_1; 0 for the zero matrix.
 
-    Decided by a certified pivoted Cholesky factor (`_sketch_rank`, O(N^2)
-    work) when that settles the count exactly, else by a full SVD: rank
-    above SKETCH_COLS, a singular value near the threshold, indefinite,
-    strongly non-Hermitian or non-square M.
+    A FactoredForm is Hermitian: its singular values are the |eigenvalues|
+    of its core (`_core`), and the zeros of the complement count for none.
+    A plain array takes one SVD. A NaN or infinite entry raises ValueError.
     """
-    M = np.asarray(M, dtype=complex)
-    count = _sketch_rank(M, tau)[0]
-    return _svd_rank(M, tau) if count is None else count
+    if isinstance(M, FactoredForm):
+        s = np.abs(np.linalg.eigvalsh(_core(M)[1]))
+    else:
+        s = np.linalg.svd(np.asarray(M, dtype=complex), compute_uv=False)
+    return _count_above(s, tau)
 
 
 def _generators(G):

@@ -104,7 +104,7 @@ def test_criterion_4_two_isometry_dichotomy():
     boundary = hyperexpansive_form(
         hb_gram(synthesized_pair(1, np.exp(1j * np.pi / 3)), 19), 2
     )
-    interior = hyperexpansive_form(hb_gram(synthesized_pair(1, 0.5), 19), 2)
+    interior = np.asarray(hyperexpansive_form(hb_gram(synthesized_pair(1, 0.5), 19), 2))
     max_entry = float(np.abs(boundary).max())
     min_eig = float(np.linalg.eigvalsh((interior + interior.conj().T) / 2)[0])
     report(

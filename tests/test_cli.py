@@ -374,29 +374,32 @@ class TestCertify:
         path = write_measure(tmp_path, mu)
         assert main(["certify", "--measure", path, "--size", "16", "--n-max", "5"]) == 0
         certs = json.loads(capsys.readouterr().out)["certificates"]
-        for c in (c for c in certs if c["kind"] == "nsd"):
-            assert c["context"]["route"] == "sketch"
-            assert c["context"]["bound"] <= c["tolerance"]
-            assert c["context"]["witness"] == "diagonal"
+        for n, c in enumerate((c for c in certs if c["kind"] == "nsd"), 1):
+            assert c["context"]["route"] == "factor"
+            assert c["context"]["core"] == 2 * n and c["context"]["size"] == 16 - n
+            assert c["context"]["witness"] == "eigenvalue"
+            assert "bound" not in c["context"]
+        assert certs[-1]["kind"] == "defect-rank" and certs[-1]["context"]["route"] == "factor"
 
     def test_heavy_boundary_atom_forms_pass_on_the_factor(self, tmp_path, capsys):
         # weight 50 on the circle: the forms come from the generator rows, so
         # no 2^n-amplified Pascal difference of the heavy Gram is taken, and
-        # every order passes on the factor's bound
+        # every order passes on the factor's core
         mu = PointMassMeasure(atoms=((0.6 + 0.8j, 50.0), (0.3 + 0.1j, 0.5)))
         path = write_measure(tmp_path, mu)
         assert main(["certify", "--measure", path, "--size", "512", "--n-max", "5"]) == 0
         certs = json.loads(capsys.readouterr().out)["certificates"]
         nsd = [c for c in certs if c["kind"] == "nsd"]
         assert [c["context"]["order"] for c in nsd] == [1, 2, 3, 4, 5]
-        assert all(c["pass"] and c["context"]["route"] == "sketch" for c in nsd)
+        assert all(c["pass"] and c["context"]["route"] == "factor" for c in nsd)
         assert len(certs) == 7 and all(c["pass"] for c in certs)
 
     @pytest.mark.parametrize(
         "atoms, size, n_max, nsd_fails",
         [
-            (((0.6 + 0.8j, 1000.0), (0.3 + 0.1j, 0.5)), 512, 5, [4, 5]),
-            (((0.5, 1e160),), 16, 2, [1, 2]),
+            (((0.6 + 0.8j, 1000.0), (0.3 + 0.1j, 0.5)), 512, 5, [5]),
+            (((0.5, 1e160),), 16, 2, []),
+            (((0.5, 1e200),), 16, 2, []),
         ],
     )
     def test_heavy_atom_passes_the_moment_identity(
@@ -404,31 +407,44 @@ class TestCertify:
     ):
         # the defect is the order-1 product on the generator rows, without the
         # roundoff of the Gram's cumulative sums that failed the identity here
-        # (4.0e-11 and 6.8e143 against 1e-12). The nsd FAILs at these orders
-        # are roundoff against the absolute NSD_TOL: the forms are NSD
+        # (4.0e-11 and 6.8e143 against 1e-12). The forms are NSD: the nsd FAIL
+        # at order 5 of w = 1000 is roundoff of its core against the absolute
+        # NSD_TOL. Dense Cholesky also failed order 4 of w = 1000 and orders
+        # 1-2 of the single interior atom, whose rank-1 forms have on the
+        # factor the exact top eigenvalue 0 of the complement
         path = write_measure(tmp_path, PointMassMeasure(atoms=atoms))
         argv = ["certify", "--measure", path, "--size", str(size), "--n-max", str(n_max)]
-        assert main(argv) == 1
+        assert main(argv) == (1 if nsd_fails else 0)
         certs = json.loads(capsys.readouterr().out)["certificates"]
         failed = [c["context"]["order"] for c in certs if not c["pass"]]
         assert failed == nsd_fails
         assert [c["kind"] for c in certs[-2:]] == ["moment-identity", "defect-rank"]
 
+    def test_unimodular_heavy_atom_still_fails(self, tmp_path, capsys):
+        # one atom at 0.6+0.8i of weight 1e160: the order-2 form is ~0 and
+        # the defect equals the moments, but roundoff at scale 1e160 exceeds
+        # the absolute NSD_TOL and moment tolerances (ROADMAP item 1)
+        path = write_measure(tmp_path, PointMassMeasure.single(0.6 + 0.8j, 1e160))
+        assert main(["certify", "--measure", path, "--size", "16", "--n-max", "2"]) == 1
+        certs = json.loads(capsys.readouterr().out)["certificates"]
+        assert [c["pass"] for c in certs] == [True, False, False, True]
+        assert [c["kind"] for c in certs[1:3]] == ["nsd", "moment-identity"]
+
     def test_overflowing_bound_is_strict_json(self, tmp_path, capsys):
-        # weight 1e200 overflows the factor's bound of the order-2 form (its
-        # residual has squares beyond the float range; order 1's is ~2.7e185);
-        # strict JSON has no Infinity, so the bound is written as the string "inf"
-        path = write_measure(tmp_path, PointMassMeasure.single(0.5, 1e200))
-        with np.errstate(over="ignore"):
-            main(["certify", "--measure", path, "--size", "16", "--n-max", "2"])
+        # weight 1e304 at 0.99: from order 14 the binomials (up to C(19, 9))
+        # overflow the forms' cores, whose eigenvalues are then NaN; strict
+        # JSON has no NaN, so those witnesses are written as the string "nan"
+        path = write_measure(tmp_path, PointMassMeasure.single(0.99, 1e304))
+        with np.errstate(over="ignore", invalid="ignore"):
+            main(["certify", "--measure", path, "--size", "64", "--n-max", "20"])
 
         def reject(name):
             raise ValueError(f"non-standard JSON constant {name}")
 
         certs = json.loads(capsys.readouterr().out, parse_constant=reject)["certificates"]
-        bounds = [c["context"]["bound"] for c in certs if c["kind"] == "nsd"]
-        assert bounds[1] == "inf"
-        assert all(isinstance(b, float) or b == "inf" for b in bounds)
+        witnesses = [c["witness"] for c in certs if c["kind"] == "nsd"]
+        assert witnesses[19] == "nan"
+        assert all(isinstance(w, float) or w == "nan" for w in witnesses)
 
 
 def test_dump_writes_non_finite_floats_as_strings(capsys):

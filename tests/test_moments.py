@@ -4,7 +4,8 @@ import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dbrlab.dirichlet import PointMassMeasure, moment_matrix
+from dbrlab.dirichlet import PointMassMeasure, dmu_gram, moment_matrix
+from dbrlab.operators import defect_matrix
 from dbrlab.moments import (
     RecoveryError,
     match_atoms,
@@ -74,6 +75,15 @@ class TestRecoverAtoms:
         rebuilt = moment_matrix(result.measure, N)
         assert result.residual == pytest.approx(np.linalg.norm(M - rebuilt), rel=1e-13)
         assert result.residual > 1e-10 * N
+
+    def test_heavy_atom_residual_is_finite(self):
+        # weight 1e306: squares of residual entries near 1e290 would overflow
+        # unscaled, on the dense route and on the factor's core
+        mu = PointMassMeasure.single(0.5, 1e306)
+        for M in (moment_matrix(mu, 8), defect_matrix(dmu_gram(mu, 9))):
+            result = recover_atoms(M)
+            assert np.isfinite(result.residual) and result.residual <= 1e-12 * 1e306
+            assert match_atoms(mu, result.measure) <= 1e-12 * 1e306
 
     def test_signed_dominant_weight_rejected(self):
         # a negated weight dominates |eigenvalue|; the recovery basis follows

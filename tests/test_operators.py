@@ -2,7 +2,6 @@ import json
 import tracemalloc
 from unittest import mock
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -12,9 +11,7 @@ from dbrlab.debranges import MoebiusSymbol, hb_inner, pythagorean_mate, validate
 from dbrlab.dirichlet import PointMassMeasure, dmu_gram, moment_matrix
 from dbrlab.moments import recover_atoms, roundtrip_check
 from dbrlab.operators import (
-    BLOCK_ROWS,
-    SKETCH_COLS,
-    _cholesky_factor,
+    _core,
     certify_nsd,
     defect_matrix,
     hyperexpansive_form,
@@ -105,10 +102,9 @@ def test_generator_forms_equal_the_pascal_forms(k, case, seed):
     rng = np.random.default_rng(seed)
     G = dirichlet.GramMatrix(rng.standard_normal((k, N)) + 1j * rng.standard_normal((k, N)))
     with no_entries():
-        got = hyperexpansive_form(G, n)
+        got = np.asarray(hyperexpansive_form(G, n))
     *_, want = hyperexpansive_forms(G.entries, n)
     assert got.shape == want.shape == (N - n, N - n)
-    assert got.flags.f_contiguous and want.flags.f_contiguous
     assert np.abs(got - want).max() <= 2**n * N * EPS * np.abs(G.entries).max()
 
 
@@ -121,7 +117,7 @@ def test_generator_defect_equals_the_entries_difference(k, N, seed):
     rng = np.random.default_rng(seed)
     G = dirichlet.GramMatrix(rng.standard_normal((k, N)) + 1j * rng.standard_normal((k, N)))
     with no_entries():
-        D = defect_matrix(G)
+        D = np.asarray(defect_matrix(G))
     A = G.entries
     assert D.shape == (N - 1, N - 1) and D.flags.c_contiguous
     assert np.abs(D - (A[1:, 1:] - A[:-1, :-1])).max() <= 2 * N * EPS * np.abs(A).max()
@@ -160,9 +156,8 @@ class TestCertifyNsd:
             certify_nsd(A)
 
     def test_finite_form_whose_bound_overflows_goes_to_cholesky(self):
-        with np.errstate(over="ignore", invalid="ignore"):
-            cert = certify_nsd(-1e200 * np.eye(20))
-        assert not np.isfinite(cert.context["bound"])
+        # entries whose squares overflow: a plain array is decided by Cholesky
+        cert = certify_nsd(-1e200 * np.eye(20))
         assert cert.passed and cert.context["route"] == "cholesky"
         assert cert.witness == -1e200
 
@@ -192,7 +187,7 @@ class TestCertifyNsd:
         interior = PointMassMeasure(
             atoms=((0.9 * np.exp(1j), 0.1), (np.exp(2.1j), 1.2))
         )
-        B = hyperexpansive_form(dmu_gram(interior, 10), 2)
+        B = np.asarray(hyperexpansive_form(dmu_gram(interior, 10), 2))
         c = 0.1 * (1 - 0.9**2)
         assert np.linalg.eigvalsh((B + B.conj().T) / 2)[0] <= -c + 1e-12
 
@@ -297,8 +292,8 @@ def spy(monkeypatch, name):
 
 class TestSketchRank:
     def test_more_atoms_than_sketch_columns(self, monkeypatch):
-        # two light atoms beyond the 8 the factor can hold: its residual is
-        # far below the heavy eigenvalues but far above tau * sigma_1
+        # two light atoms far below the heavy eigenvalues but far above
+        # tau * sigma_1: a plain array takes one SVD
         locs = 0.9 * np.exp(2j * np.pi * np.arange(10) / 10)
         mu = PointMassMeasure(atoms=tuple(zip(locs, [1.0] * 8 + [1e-3] * 2)))
         svds = spy(monkeypatch, "svd")
@@ -306,30 +301,29 @@ class TestSketchRank:
         assert svds == [(40, 40)]
 
     def test_recovery_decides_the_rank_with_one_sketch(self, monkeypatch):
-        # the undecided 8-column factor (one 8 x 8 eigh) goes straight to the
-        # SVD of the same matrix; k = 10 exceeds its columns, so the basis
-        # comes from one dense eigh, then one Vandermonde QR
+        # a plain array: one dense eigh of its Hermitian part gives the rank
+        # and the basis, then one Vandermonde QR; no SVD
         locs = 0.9 * np.exp(2j * np.pi * np.arange(10) / 10)
         mu = PointMassMeasure(atoms=tuple(zip(locs, [1.0] * 8 + [1e-3] * 2)))
         M = moment_matrix(mu, 40)
         qrs, svds, eighs = spy(monkeypatch, "qr"), spy(monkeypatch, "svd"), spy(monkeypatch, "eigh")
         assert len(recover_atoms(M).measure) == 10
-        assert qrs == [(40, SKETCH_COLS), (40, 10)]
-        assert svds == [(40, 40)]
-        assert eighs == [(SKETCH_COLS, SKETCH_COLS), (40, 40)]
+        assert qrs == [(40, 10)]
+        assert svds == []
+        assert eighs == [(40, 40)]
 
     def test_margin_below_rounding_goes_to_svd(self, monkeypatch):
-        # sigma_2 clears tau * sigma_1 by 1e-13, inside the factor's allowance
-        # for the backward error of its QR (2 * 3 * 66 * 2 * eps ~ 1.8e-13 of
-        # sigma_1) though far above its real error
+        # sigma_2 clears tau * sigma_1 by 1e-13: a plain array takes one SVD
         M = np.diag([1.0, 1e-8 + 1e-13] + [0.0] * 62)
         svds = spy(monkeypatch, "svd")
         assert numerical_rank(M, 1e-8) == 2
         assert svds == [(64, 64)]
 
     def test_zero_matrix_needs_no_svd(self, monkeypatch):
+        # the zero defects of a Gram with no generator row and with a zero one
         svds = spy(monkeypatch, "svd")
-        assert numerical_rank(np.zeros((512, 512))) == 0
+        for G in (dmu_gram(PointMassMeasure.empty(), 513), dirichlet.GramMatrix(np.zeros((1, 513)))):
+            assert numerical_rank(defect_matrix(G)) == 0
         assert svds == []
 
     def test_non_hermitian_shift(self, monkeypatch):
@@ -354,16 +348,17 @@ class TestSketchRank:
                 atoms.append((z, rng.uniform(0.1, 3)))
         D = defect_matrix(dmu_gram(PointMassMeasure(atoms=tuple(atoms)), 512))
         svds, eigs, eighs = spy(monkeypatch, "svd"), spy(monkeypatch, "eigvalsh"), spy(monkeypatch, "eigh")
+        # the rank: the eigenvalues of the k x k core of the k-column factor
         assert numerical_rank(D) == k
-        assert eighs == [(k, k)]
-        eighs.clear()
+        assert eigs == [(k, k)] and eighs == []
+        eigs.clear()
         qrs = spy(monkeypatch, "qr")
         assert len(recover_atoms(D).measure) == k
-        # a k-column factor, shared by the rank and the basis, and one Vandermonde QR
-        assert qrs == [(511, k)] * 2
+        # the factor's QR, one Vandermonde QR and the residual's QR of the
+        # factor beside the Vandermonde
+        assert qrs == [(511, k), (511, k), (511, 2 * k)]
         assert svds == []
-        # each rank decision is one k x k eigh, whose eigenvectors give the
-        # recovery its Ritz basis: one k x k eigensolve per recovery
+        # one k x k eigh gives the recovery its rank and its Ritz basis
         assert eigs == [] and eighs == [(k, k)]
 
 
@@ -394,16 +389,18 @@ def test_sketch_rank_matches_svd(atoms, twin, N, defect, noise, log_tau, seed):
         weights.append(weights[0])
     assume(len(set(locs)) == len(locs))
     mu = PointMassMeasure(atoms=tuple(zip(locs, weights)))
+    # a defect without noise stays the FactoredForm of its generator rows
     if defect:
         M = defect_matrix(dmu_gram(mu, N + 1))
     else:
         M = moment_matrix(mu, N)
-    rng = np.random.default_rng(seed)
-    E = rng.standard_normal(M.shape) + 1j * rng.standard_normal(M.shape)
-    M = M + noise * np.abs(M).max() * E
+    if noise:
+        rng = np.random.default_rng(seed)
+        E = rng.standard_normal(M.shape) + 1j * rng.standard_normal(M.shape)
+        M = M + noise * np.abs(M).max() * E
     # the dense reference: singular values above tau * sigma_1, none of them
     # within 1e-6 * tau * sigma_1 of that threshold
-    s = np.linalg.svd(M, compute_uv=False)
+    s = np.linalg.svd(np.asarray(M), compute_uv=False)
     threshold = 10**log_tau * s[0]
     assume(s[0] == 0 or not np.any(np.abs(s - threshold) <= 1e-6 * threshold))
     want = 0 if s[0] <= 1e-300 else int(np.count_nonzero(s > threshold))
@@ -439,7 +436,7 @@ class TestRatioIdentity:
         with pytest.raises(ValueError):
             ratio_identity_check(hb_gram(pair, 4), pair, 5)
 
-    @pytest.mark.parametrize("N", [512, 2 * BLOCK_ROWS + 8 + 1])
+    @pytest.mark.parametrize("N", [512, 137])
     def test_generators_match_dense_forms(self, N):
         # the H(b) Gram satisfies the identity; a 3-atom D(mu) Gram, with three
         # generator rows, does not, so its witness is far from roundoff
@@ -564,7 +561,7 @@ def test_certify_nsd_matches_top_eigenvalue(atoms, N, order, log_tol, offset):
     assume(len(set(locs)) == len(locs))
     mu = PointMassMeasure(atoms=tuple(zip(locs, (w for _, _, w in atoms))))
     order = min(order, N - 1)
-    A = hyperexpansive_form(dmu_gram(mu, N), order)
+    A = np.asarray(hyperexpansive_form(dmu_gram(mu, N), order))
     tol = 10**log_tol
     # shift the form so its top eigenvalue lands near tol * (1 + offset)
     top = np.linalg.eigvalsh((A + A.conj().T) / 2)[-1]
@@ -600,14 +597,16 @@ def three_atom_gram(N):
 
 class TestSketchNsd:
     def test_low_rank_forms_need_no_cholesky(self, monkeypatch):
+        # three atoms: a core of 3 n at order n, one small eigvalsh each
         G = three_atom_gram(256)
-        chol = spy(monkeypatch, "cholesky")
+        chol, eigs = spy(monkeypatch, "cholesky"), spy(monkeypatch, "eigvalsh")
         for n, B in enumerate(hyperexpansive_forms(G, 5), 1):
             cert = certify_nsd(B, order=n)
-            assert cert.passed and cert.context["route"] == "sketch"
-            assert 0 <= cert.context["bound"] <= cert.tolerance
-            assert cert.context["witness"] == "diagonal"
+            assert cert.passed and cert.context["route"] == "factor"
+            assert cert.context["core"] == 3 * n and cert.context["size"] == 256 - n
+            assert cert.context["witness"] == "eigenvalue"
         assert chol == []
+        assert eigs == [(3 * n, 3 * n) for n in range(1, 6)]
 
     def test_negated_weights_fail_by_cholesky(self):
         # 2I - G negates every weight: the order-1 form is the moment matrix
@@ -617,20 +616,17 @@ class TestSketchNsd:
         assert not cert.passed and cert.witness >= 2.3
         assert cert.context["route"] == "cholesky"
         assert cert.context["witness"] == "eigenvalue"
-        assert cert.context["bound"] >= cert.witness
 
     def test_positive_direction_outside_sketch_fails(self):
-        # eight eigenvalues -1 fill the factor's eight columns; only the
-        # residual e sees the ninth eigenvalue, 1e-3
-        A = np.diag([-1.0] * SKETCH_COLS + [1e-3] + [0.0] * 31).astype(complex)
+        # a positive eigenvalue 1e-3 behind eight eigenvalues -1
+        A = np.diag([-1.0] * 8 + [1e-3] + [0.0] * 31).astype(complex)
         cert = certify_nsd(A)
         assert not cert.passed and cert.witness == pytest.approx(1e-3)
         assert cert.context["route"] == "cholesky"
 
     def test_tiny_positive_direction_outside_sketch_fails(self):
-        # the same at scale 1e-200: the residual's squares underflow, so summed
-        # unscaled they would give e = 0 and a PASS of a top eigenvalue 1e-220
-        A = 1e-200 * np.diag([-1.0] * SKETCH_COLS + [1e-20] + [0.0] * 31).astype(complex)
+        # the same at scale 1e-200, where squares of the entries underflow
+        A = 1e-200 * np.diag([-1.0] * 8 + [1e-20] + [0.0] * 31).astype(complex)
         cert = certify_nsd(A, tol=1e-250)
         assert not cert.passed and cert.witness == pytest.approx(1e-220)
         assert cert.context["route"] == "cholesky"
@@ -639,7 +635,7 @@ class TestSketchNsd:
         B = next(hyperexpansive_forms(three_atom_gram(513), 1))
         N = B.shape[0]
         cert, peak = peak_bytes(certify_nsd, B)
-        assert cert.passed and cert.context["route"] == "sketch"
+        assert cert.passed and cert.context["route"] == "factor"
         assert peak < N * N * 16
 
     def test_rank_sketch_allocates_less_than_one_defect(self):
@@ -712,55 +708,22 @@ class TestPanelMemory:
         assert peak < 1.25 * self.NN
 
     def test_recovery_holds_no_hermitian_copy(self):
-        # the factor decides the rank on D itself: no N x N Hermitian part
+        # the core of D's factor decides the rank: no N x N Hermitian part
         D = defect_matrix(three_atom_gram(513))
         result, peak = peak_bytes(recover_atoms, D)
         assert len(result.measure) == 3
         assert peak < self.NN
 
-
-def exact_residual(A, L, s):
-    """||A - s L L^H||_F of the given floats, at 40 digits."""
-    with mpmath.workdps(40):
-        E = mpmath.matrix(A.tolist())
-        if L.shape[1]:
-            L = mpmath.matrix(L.tolist())
-            E -= s * L * L.transpose_conj()
-        return float(mpmath.sqrt(mpmath.fsum(abs(x) ** 2 for x in E)))
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    atoms=st.lists(atom, min_size=0, max_size=4),
-    N=st.integers(1, 14),
-    order=st.integers(0, 3),
-)
-@example(atoms=[(1.0, 4.472326853967332e-294, 1.0)], N=2, order=3)
-def test_sketch_residual_bounds_the_exact_residual(atoms, N, order):
-    # e bounds the exact residual of the computed factor: for a defect
-    # (s = 1) or form (s = -1) of rank <= SKETCH_COLS the residual is all
-    # roundoff, so the rounding terms must carry the bound; the example's
-    # form has subnormal entries (~1e-309)
-    locs = [r * np.exp(1j * t) for r, t, _ in atoms]
-    assume(len(set(locs)) == len(locs))
-    mu = PointMassMeasure(atoms=tuple(zip(locs, (w for _, _, w in atoms))))
-    G = dmu_gram(mu, N + order)
-    A = defect_matrix(dmu_gram(mu, N + 1)) if order == 0 else hyperexpansive_form(G, order)
-    s = 1 if order == 0 else -1
-    L, e = _cholesky_factor(A, s)
-    assert exact_residual(A, L, s) <= e
-
-
-def test_sketch_residual_bounds_a_subnormal_residual():
-    # matrices in multiples of the smallest subnormal t, factored with one
-    # column: each product rounds by an absolute amount that the relative
-    # terms of e do not cover. The first is rank 1; the second has Schur
-    # complement -549/497 t, so its residual ~1.1 t is computed as 0.
-    for entries in ([[250, 150 + 50j], [150 - 50j, 100]], [[497, -101 - 566j], [-101 + 566j, 664]]):
-        A = np.array(entries) * np.finfo(float).smallest_subnormal
-        L, e = _cholesky_factor(A, 1)
-        assert L.shape[1] == 1
-        assert exact_residual(A, L, 1) <= e
+    def test_factor_routes_build_no_form(self):
+        # the form, the defect, the verdict, the rank and the recovery from
+        # the generator rows: nothing near one N x N array
+        G = three_atom_gram(512)
+        with no_entries():
+            cert, nsd = peak_bytes(lambda: certify_nsd(hyperexpansive_form(G, 5)))
+            rank, rank_peak = peak_bytes(lambda: numerical_rank(defect_matrix(G)))
+            result, rec = peak_bytes(lambda: recover_atoms(defect_matrix(G)))
+        assert cert.passed and rank == 3 and len(result.measure) == 3
+        assert max(nsd, rank_peak, rec) < 0.25 * self.NN
 
 
 # well separated, two of them exactly on the circle (|z| = 1 in floating point)
@@ -769,17 +732,20 @@ SEPARATED = ((1j, 0.7), (0.5, 1.0), (-0.3 + 0.6j, 0.4), (-1.0, 0.9), (0.2 - 0.7j
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_factor_takes_one_column_per_atom(k):
-    # B_n is minus the moment matrix of the weights w (1 - |z|^2)^(n-1): the
-    # factor takes one column per nonzero weight and stops there, as the
-    # Schur complement left is roundoff; the defect takes one per atom
+    # the defect's factor is its k generator rows, of rank k. B_n is minus the
+    # moment matrix of the weights w (1 - |z|^2)^(n-1), so its k n-column
+    # factor has one core eigenvalue above roundoff per nonzero weight:
+    # every atom at order 1, the interior ones above (roundoff <= 3e-12,
+    # the smallest weight's eigenvalue 0.026)
     mu = PointMassMeasure(atoms=SEPARATED[:k])
     G = dmu_gram(mu, 512)
-    L, e = _cholesky_factor(defect_matrix(G), 1)
-    assert L.shape[1] == k and e <= 1e-10
+    D = defect_matrix(G)
+    assert D.factor.shape == (511, k) and numerical_rank(D) == k
     for n, B in enumerate(hyperexpansive_forms(G, 5), 1):
         want = sum(1 for z, _ in mu.atoms if n == 1 or abs(z) < 1)
-        L, e = _cholesky_factor(B.T, -1)
-        assert L.shape[1] == want and e <= 1e-10
+        assert B.factor.shape == (512 - n, k * n)
+        assert np.count_nonzero(np.abs(np.linalg.eigvalsh(_core(B)[1])) > 1e-10) == want
+        assert certify_nsd(B).passed
 
 
 @settings(max_examples=300, deadline=None)
@@ -791,15 +757,15 @@ def test_factor_takes_one_column_per_atom(k):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_certify_nsd_with_a_rank_one_bump(atoms, N, order, offset, seed):
-    # an NSD form plus delta v v^H, delta = tol * (1 + offset): low rank, so the
-    # factor decides most cases and Cholesky the rest; verdicts against the top
-    # eigenvalue, outside a 1e-3 relative band around tol
+    # the entries of an NSD form plus delta v v^H, delta = tol * (1 + offset),
+    # decided by Cholesky; verdicts against the top eigenvalue, outside a
+    # 1e-3 relative band around tol
     locs = [r * np.exp(1j * t) for r, t, _ in atoms]
     assume(len(set(locs)) == len(locs))
     mu = PointMassMeasure(atoms=tuple(zip(locs, (w for _, _, w in atoms))))
     order = min(order, N - 1)
     tol = 1e-10
-    A = hyperexpansive_form(dmu_gram(mu, N), order)
+    A = np.asarray(hyperexpansive_form(dmu_gram(mu, N), order))
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(N - order) + 1j * rng.standard_normal(N - order)
     v /= np.linalg.norm(v)
@@ -812,8 +778,95 @@ def test_certify_nsd_with_a_rank_one_bump(atoms, N, order, offset, seed):
         assert cert.passed
     if cert.passed:
         assert cert.witness <= top + 1e-3 * tol
-    assert cert.context["route"] in ("sketch", "cholesky")
-    assert (cert.context["route"] == "sketch") == (cert.context["bound"] <= tol)
+    assert cert.context["route"] == "cholesky"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(0, 4),
+    rank=st.integers(0, 4),
+    case=form_case,
+    log_scale=st.floats(-3, 3),
+    log_tol=st.floats(-8, 0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=4, rank=4, case=(8, 1), log_scale=0.0, log_tol=-8.0, seed=0)
+@example(k=3, rank=2, case=(40, 4), log_scale=2.0, log_tol=-3.0, seed=1)
+def test_factor_routes_match_the_dense_routes(k, rank, case, log_scale, log_tol, seed):
+    # random complex generator rows, of rank min(k, rank): the forms need not
+    # be NSD, so a false PASS on the factor's core would show. tol is scaled
+    # by max|B|, so the verdicts outside a 1e-3 relative band around it are
+    # far from roundoff; the rank rule's threshold is relative too
+    N, n = case
+    rng = np.random.default_rng(seed)
+    r = min(k, rank)
+    mix = rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r))
+    rows = rng.standard_normal((r, N)) + 1j * rng.standard_normal((r, N))
+    G = dirichlet.GramMatrix(10**log_scale * (mix @ rows))
+    B = hyperexpansive_form(G, n)
+    A = np.asarray(B)
+    top = np.linalg.eigvalsh((A + A.conj().T) / 2)[-1]
+    tol = 10**log_tol * np.abs(A).max()
+    cert, dense = certify_nsd(B, tol), certify_nsd(A, tol)
+    assert cert.context["route"] == "factor" and dense.context["route"] == "cholesky"
+    if abs(top - tol) > 1e-3 * tol:
+        assert cert.passed == dense.passed == (top <= tol)
+    D = defect_matrix(G)
+    assert numerical_rank(D) == numerical_rank(np.asarray(D)) == min(r, N - 1)
+
+
+class TestFactorEdges:
+    def test_empty_measure(self):
+        # no generator row: every form is zero, with an empty core and the
+        # 0 of the complement as its top eigenvalue
+        G = dmu_gram(PointMassMeasure.empty(), 16)
+        for n in (1, 5):
+            cert = certify_nsd(hyperexpansive_form(G, n))
+            assert cert.passed and cert.witness == 0 and cert.context["core"] == 0
+        D = defect_matrix(G)
+        assert D.factor.shape == (15, 0) and numerical_rank(D) == 0
+        result = recover_atoms(D)
+        assert len(result.measure) == 0 and result.residual == 0
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_wide_factor(self, n):
+        # 4 interior atoms at N = 8: from order 2 the factor has k n > N - n
+        # columns and the core is the form's size; at order 1 it has more
+        # rows than columns, and the form's top eigenvalue is the 0 of the
+        # complement, above every core eigenvalue
+        mu = PointMassMeasure(atoms=((0.5, 1.0), (-0.3 + 0.6j, 0.4), (0.2 - 0.7j, 0.6), (-0.6, 0.8)))
+        B = hyperexpansive_form(dmu_gram(mu, 8), n)
+        A = np.asarray(B)
+        cert = certify_nsd(B)
+        assert cert.passed and cert.context["core"] == min(8 - n, 4 * n)
+        assert abs(cert.witness - np.linalg.eigvalsh(A)[-1]) <= 1e-14
+        if n == 1:
+            assert cert.witness == 0 and np.linalg.eigvalsh(_core(B)[1])[-1] < -0.01
+        assert numerical_rank(B) == numerical_rank(A) == min(8 - n, 4)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_generator_is_rejected(self, value):
+        # as for the entries on the dense routes: no verdict and no rank
+        U = np.ones((2, 12), dtype=complex)
+        U[1, 5] = value
+        G = dirichlet.GramMatrix(U)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            certify_nsd(hyperexpansive_form(G, 2))
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            numerical_rank(defect_matrix(G))
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            recover_atoms(defect_matrix(G))
+
+
+def test_factor_residual_matches_the_dense_residual():
+    # a light third atom that a fit of two leaves out: the residual, the
+    # norm of the core of [Y, V], against the dense difference of entries
+    mu = PointMassMeasure(atoms=((0.5, 1.0), (-0.3 + 0.6j, 0.4), (0.2 - 0.7j, 1e-6)))
+    D = defect_matrix(dmu_gram(mu, 65))
+    result = recover_atoms(D, k=2)
+    want = np.linalg.norm(np.asarray(D) - moment_matrix(result.measure, 64))
+    assert want > 1e-7
+    assert result.residual == pytest.approx(want, rel=1e-9)
 
 
 # ---- forms by both routes against closed forms and the binomial sum ----
@@ -837,8 +890,7 @@ def test_dmu_forms_are_weighted_moment_matrices(atoms, N):
 
 # one heavy boundary atom at N = 512: forms built from independently rounded
 # powers (z ** np.arange) were 0.03-0.06 of the scale below off their closed
-# form, and no order 1-5 was decided in O(N^2) (orders 2-5 were false FAILs);
-# the order-1 form's bound, ~6e-11, is below NSD_TOL only for the factor
+# form, and orders 2-5 were false FAILs
 HEAVY_BOUNDARY = PointMassMeasure(atoms=((0.6 + 0.8j, 10.0), (0.3 + 0.1j, 0.5)))
 
 
@@ -861,10 +913,10 @@ def test_heavy_boundary_forms_are_near_their_closed_form(heavy_boundary, n):
 
 
 @pytest.mark.parametrize("n", range(1, 6))
-def test_heavy_boundary_forms_pass_on_the_sketch(heavy_boundary, n):
-    _, forms = heavy_boundary
-    cert = certify_nsd(forms[n - 1][0], order=n)
-    assert cert.passed and cert.context["route"] == "sketch"
+def test_heavy_boundary_forms_pass_on_the_sketch(n):
+    # the FactoredForm of the generator rows, decided on its core
+    cert = certify_nsd(hyperexpansive_form(dmu_gram(HEAVY_BOUNDARY, 512), n), order=n)
+    assert cert.passed and cert.context["route"] == "factor"
 
 
 def valid_symbol(c, gamma, beta, fraction):
