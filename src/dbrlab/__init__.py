@@ -34,7 +34,6 @@ from .operators import (
     certify_nsd,
     defect_matrix,
     hyperexpansive_form,
-    hyperexpansive_forms,
     numerical_rank,
     rank1_defect_check,
     ratio_identity_check,
@@ -72,7 +71,6 @@ __all__ = [
     "hb_gram",
     "hb_inner",
     "hyperexpansive_form",
-    "hyperexpansive_forms",
     "moment_matrix",
     "monomial",
     "normalize",

@@ -47,7 +47,7 @@ from .operators import (
     Certificate,
     certify_nsd,
     defect_matrix,
-    hyperexpansive_forms,
+    hyperexpansive_form,
     numerical_rank,
 )
 from .synthesis import (
@@ -124,6 +124,17 @@ def _read_input(path, parse):
 
 def _load_measure(path):
     return _read_input(path, lambda t: PointMassMeasure.from_json_dict(json.loads(t)))
+
+
+def _measure_gram(path, N):
+    """(mu, dmu_gram(mu, N)) for the measure file at path; a usage error
+    when the Gram's largest entry 1 + sum_r w_r sum_(l<N-1) |z_r|^(2l) overflows."""
+    mu = _load_measure(path)
+    G = dmu_gram(mu, N)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(1 + np.sum(np.abs(G.generators) ** 2)):
+            raise InputFileError(f"{path}: weights too large, a Gram entry overflows")
+    return mu, G
 
 
 def _load_symbol(path):
@@ -210,12 +221,11 @@ def cmd_verify_equality(args):
 
 
 def cmd_certify(args):
-    mu = _load_measure(args.measure)
-    G = dmu_gram(mu, args.size)
+    mu, G = _measure_gram(args.measure, args.size)
     nsd_tol = _tol(args, "nsd")
     certs = [
-        certify_nsd(B, tol=nsd_tol, order=n)
-        for n, B in enumerate(hyperexpansive_forms(G, args.n_max), 1)
+        certify_nsd(hyperexpansive_form(G, n), tol=nsd_tol, order=n)
+        for n in range(1, args.n_max + 1)
     ]
     D = defect_matrix(G)
     M = moment_matrix(mu, args.size - 1)
@@ -248,7 +258,8 @@ def cmd_recover(args):
     if args.moments:
         M = _read_input(args.moments, gram_from_csv_text)
     else:
-        mu = _load_measure(args.measure)
+        # the N x N moment matrix is the defect of the Gram of size N + 1
+        mu, _ = _measure_gram(args.measure, args.size + 1)
         M = moment_matrix(mu, args.size)
     try:
         result = recover_atoms(M, k=args.atoms, rank_tol=_tol(args, "rank"))

@@ -61,7 +61,8 @@ class FactoredForm:
     come as one (`hyperexpansive_form`, `defect_matrix`), p at most k n at
     order n, so no m x m array is built. `certify_nsd`, `numerical_rank`
     and `recover_atoms` decide on it from one thin QR Y = Q R and the small
-    core R diag(c) R^H (`_core`). np.asarray(F) gives the m x m entries.
+    core R diag(c) R^H (`_core`), and on a plain array by one dense
+    eigensolve or SVD. np.asarray(F) gives the m x m entries.
     """
 
     factor: np.ndarray
@@ -86,35 +87,13 @@ class FactoredForm:
         return np.asarray((Y * self.weights) @ Y.conj().T, dtype=dtype)
 
 
-def hyperexpansive_forms(G, n_max):
-    """Yield the forms B_1 .. B_n_max, B_n[j][k] = sum_i (-1)^i C(n,i) G[k+i][j+i].
-
-    From a GramMatrix each form is the FactoredForm of its generator rows
-    (`_generator_form`), and no N x N array is built. From a plain array,
-    Pascal's rule C(n+1, i) = C(n, i) + C(n, i-1) gives
-    B_(n+1) = B_n[:-1, :-1] - B_n[1:, 1:] from B_0 = G^T: one subtraction
-    per order. Consume it in a loop, so that only two forms are alive.
-    """
-    n_max = int(n_max)
-    if isinstance(G, GramMatrix):
-        U = G.generators
-        _check_order(n_max, U.shape[1])
-        for n in range(1, n_max + 1):
-            yield _generator_form(U, n)
-        return
-    B = np.asarray(G, dtype=complex).T
-    _check_order(n_max, B.shape[0])
-    for _ in range(n_max):
-        B = B[:-1, :-1] - B[1:, 1:]
-        yield B
-
-
 def hyperexpansive_form(G, n):
-    """Order-n form B_n, the compression of the order-n hyperexpansivity sum
-    of the shift to the monomials z^0 .. z^(N-1-n); see hyperexpansive_forms.
+    """Order-n form B_n[j][k] = sum_i (-1)^i C(n,i) G[k+i][j+i], the order-n
+    hyperexpansivity sum of the shift compressed to z^0 .. z^(N-1-n).
 
-    A GramMatrix gives one `_generator_form`, a FactoredForm; a plain array
-    gives the last form of hyperexpansive_forms(G, n).
+    A GramMatrix gives the FactoredForm of its generator rows
+    (`_generator_form`); no N x N array is built. A plain array takes n steps
+    of Pascal's rule, B_(m+1) = B_m[:-1, :-1] - B_m[1:, 1:] from B_0 = G^T.
     """
     n = int(n)
     if n < 1:
@@ -122,7 +101,10 @@ def hyperexpansive_form(G, n):
     if isinstance(G, GramMatrix):
         _check_order(n, G.generators.shape[1])
         return _generator_form(G.generators, n)
-    *_, B = hyperexpansive_forms(G, n)
+    B = np.asarray(G, dtype=complex).T
+    _check_order(n, B.shape[0])
+    for _ in range(n):
+        B = B[:-1, :-1] - B[1:, 1:]
     return B
 
 
@@ -176,51 +158,32 @@ def certify_nsd(B, tol=NSD_TOL, order=None):
     """Certify a Hermitian form negative semidefinite: its top eigenvalue is <= tol.
 
     A FactoredForm F = Q S Q^H (`_core`) is decided on route "factor" from
-    the eigenvalues of its small core S. The top eigenvalue of F is the
-    largest of them and, when the factor has more rows than S, the 0 of the
-    complement of Q's range. That top eigenvalue is the witness, the
-    certificate passes when it is <= tol, and context["core"] is the size
-    of S.
-
-    A plain array is decided on route "cholesky" from its Hermitian part H:
-    one Cholesky factorization of tol*I - H succeeds only when every
-    eigenvalue of H lies below tol (Rump, "Verification of positive
-    definiteness", BIT 2006). Then the certificate passes, and its witness
-    is max Re diag H, a Rayleigh-quotient lower bound on the top
-    eigenvalue. When the factorization fails, eigvalsh(H) gives the top
-    eigenvalue as the witness and the verdict top <= tol.
+    the eigenvalues of its small core S, whose size is context["core"]. The
+    top eigenvalue of F is the largest of them and, when the factor has more
+    rows than S, the 0 of the complement of Q's range. A plain array is
+    decided on route "dense" by eigvalsh of its Hermitian part. On both
+    routes the top eigenvalue is the witness (context["witness"] is
+    "eigenvalue"), and the certificate passes when it is <= tol.
 
     A NaN or infinite entry, in the form or in its factor, raises
-    ValueError: no route can decide it. context["witness"] names what was
-    reported, "diagonal" or "eigenvalue"; context["route"] the route;
+    ValueError: no route can decide it. context["route"] names the route,
     context["size"] the form's size; order only labels context["order"].
     """
     if isinstance(B, FactoredForm):
-        m = B.shape[0]
         S = _core(B)[1]
-        lam = np.linalg.eigvalsh(S)
-        top = float(lam.max(initial=0.0 if len(S) < m else -np.inf))
-        context = {"order": order, "size": m, "core": len(S), "route": "factor"}
-        context["witness"] = "eigenvalue"
-        return Certificate("nsd", top <= tol, top, tol, context)
-    A = np.asarray(B, dtype=complex)
-    if not np.isfinite(A).all():
-        raise ValueError("form has a NaN or infinite entry")
-    context = {"order": order, "size": int(A.shape[0]), "route": "cholesky"}
-    C = np.conj(A.T)
-    C += A
-    C *= -0.5
-    C[np.diag_indices_from(C)] += tol
-    try:
-        np.linalg.cholesky(C)
-    except np.linalg.LinAlgError:
-        del C
-        witness = float(np.linalg.eigvalsh((A + A.conj().T) / 2)[-1])
-        context["witness"] = "eigenvalue"
-        return Certificate("nsd", witness <= tol, witness, tol, context)
-    witness = float(A.diagonal().real.max()) if A.size else 0.0
-    context["witness"] = "diagonal"
-    return Certificate("nsd", True, witness, tol, context)
+        context = {"size": B.shape[0], "core": len(S), "route": "factor"}
+    else:
+        A = np.asarray(B, dtype=complex)
+        if not np.isfinite(A).all():
+            raise ValueError("form has a NaN or infinite entry")
+        S = np.conj(A.T)
+        S += A
+        S *= 0.5
+        context = {"size": len(S), "route": "dense"}
+    m = context["size"]
+    top = float(np.linalg.eigvalsh(S).max(initial=-np.inf if len(S) == m > 0 else 0.0))
+    context.update(order=order, witness="eigenvalue")
+    return Certificate("nsd", top <= tol, top, tol, context)
 
 
 def defect_matrix(G):

@@ -12,7 +12,7 @@ import numpy as np
 
 from dbrlab import hardy
 from dbrlab.debranges import _s_and_p, validate_symbol
-from dbrlab.operators import defect_matrix, hyperexpansive_forms
+from dbrlab.operators import defect_matrix
 
 
 def poly_eval(f, z):
@@ -157,12 +157,22 @@ def binomial_form(G, n):
     return B
 
 
+def pascal_forms(G, n_max):
+    """Yield the forms B_1 .. B_n_max of a plain Gram array by Pascal's rule,
+    B_(n+1) = B_n[:-1, :-1] - B_n[1:, 1:] from B_0 = G^T, one subtraction
+    per order."""
+    B = np.asarray(G, dtype=complex).T
+    for _ in range(n_max):
+        B = B[:-1, :-1] - B[1:, 1:]
+        yield B
+
+
 def ratio_witness_dense(G, r, n_max):
     """(worst, scale) of the ratio identity B_n = r^(n-2) B_2 from full dense
     forms, by Pascal's rule on the Gram's entries: worst = max ||B_n - r^(n-2) B_2||_F over 3 <= n <= n_max and
     scale = max(1, ||B_2||_F), all on the common block m = N - n_max."""
     worst = 0.0
-    for n, B in enumerate(hyperexpansive_forms(np.asarray(G), n_max), 1):
+    for n, B in enumerate(pascal_forms(G, n_max), 1):
         m = B.shape[0] + n - n_max
         if n == 2:
             B2 = B[:m, :m]

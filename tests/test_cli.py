@@ -447,6 +447,31 @@ class TestCertify:
         assert all(isinstance(w, float) or w == "nan" for w in witnesses)
 
 
+@pytest.mark.parametrize("weight", [1e300, 1e306, 1e307, 1e308])
+@pytest.mark.parametrize(
+    "argv, N",
+    # recover's 8 x 8 moment matrix is the defect of the Gram of size 9
+    [(["certify", "--size", "16", "--n-max", "2"], 16), (["recover", "--size", "8"], 9)],
+    ids=["certify", "recover"],
+)
+def test_overflowing_gram_entry_is_a_usage_error(tmp_path, capsys, weight, argv, N):
+    # one atom at 0.9: the Gram's largest entry 1 + w sum_(l<N-1) 0.81^l is
+    # about 4.3 w at N = 9 and 5.2 w at N = 16, so only w = 1e308 overflows,
+    # and no route can decide on that Gram
+    entry = 1 + weight * sum(0.81**l for l in range(N - 1))
+    assert np.isinf(entry) == (weight == 1e308)
+    path = write_measure(tmp_path, PointMassMeasure.single(0.9, weight))
+    args = [argv[0], "--measure", path, *argv[1:]]
+    if np.isinf(entry):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+    else:
+        assert main(args) in (0, 1)
+        assert json.loads(capsys.readouterr().out)
+
+
 def test_dump_writes_non_finite_floats_as_strings(capsys):
     cli._dump({"a": [float("-inf"), float("nan"), 1.5], "b": {"c": float("inf")}}, None)
     assert json.loads(capsys.readouterr().out) == {"a": ["-inf", "nan", 1.5], "b": {"c": "inf"}}

@@ -15,7 +15,6 @@ from dbrlab.operators import (
     certify_nsd,
     defect_matrix,
     hyperexpansive_form,
-    hyperexpansive_forms,
     numerical_rank,
     rank1_defect_check,
     ratio_identity_check,
@@ -27,6 +26,7 @@ from dbrlab.debranges import hb_gram
 from oracles import (
     binomial_form,
     dmu_forms_closed,
+    pascal_forms,
     pencil_top_dense,
     ratio_witness_dense,
     symbol_taylor,
@@ -70,16 +70,18 @@ class TestHyperexpansiveForm:
     @pytest.mark.parametrize("n_max", [0, 1, 4, 9])
     def test_forms_yield_one_array_per_order(self, n_max):
         G = dmu_gram(PointMassMeasure.single(0.5j, 1.0), 10)
-        shapes = [B.shape for B in hyperexpansive_forms(G, n_max)]
+        shapes = [hyperexpansive_form(G, n).shape for n in range(1, n_max + 1)]
         assert shapes == [(10 - n, 10 - n) for n in range(1, n_max + 1)]
 
     def test_forms_reject_order_beyond_gram(self):
         with pytest.raises(ValueError):
-            list(hyperexpansive_forms(np.eye(4), 4))
+            hyperexpansive_form(np.eye(4), 4)
 
     def test_form_is_last_of_forms(self):
-        G = dmu_gram(PointMassMeasure(atoms=((0.5, 1.0), (-0.3 + 0.4j, 0.5))), 12)
-        for n, B in enumerate(hyperexpansive_forms(G, 11), 1):
+        # a plain array takes n Pascal steps from G^T: the oracle's n-th form,
+        # bit for bit; a transposed start would give the transposed forms
+        G = dmu_gram(PointMassMeasure(atoms=((0.5, 1.0), (-0.3 + 0.4j, 0.5))), 12).entries
+        for n, B in enumerate(pascal_forms(G, 11), 1):
             assert np.array_equal(hyperexpansive_form(G, n), B)
 
 
@@ -103,7 +105,7 @@ def test_generator_forms_equal_the_pascal_forms(k, case, seed):
     G = dirichlet.GramMatrix(rng.standard_normal((k, N)) + 1j * rng.standard_normal((k, N)))
     with no_entries():
         got = np.asarray(hyperexpansive_form(G, n))
-    *_, want = hyperexpansive_forms(G.entries, n)
+    want = hyperexpansive_form(G.entries, n)
     assert got.shape == want.shape == (N - n, N - n)
     assert np.abs(got - want).max() <= 2**n * N * EPS * np.abs(G.entries).max()
 
@@ -136,29 +138,31 @@ class TestCertifyNsd:
         assert not cert.passed and cert.witness == pytest.approx(0.1)
         assert cert.context["witness"] == "eigenvalue"
 
-    def test_pass_witness_is_top_diagonal(self):
-        # PASS reports max Re diag H, a lower bound on the top eigenvalue
+    def test_pass_witness_is_top_eigenvalue(self):
+        # PASS reports the top eigenvalue of H, -0.7929 here, not the top
+        # diagonal entry -1.0, which is only a lower bound on it
         B = np.array([[-1.0, 0.5j], [-0.5j, -2.0]])
         cert = certify_nsd(B, 1e-10)
-        assert cert.passed and cert.witness == -1.0
-        assert cert.context["witness"] == "diagonal"
-        assert cert.witness <= np.linalg.eigvalsh(B)[-1]
+        assert cert.passed and cert.witness == np.linalg.eigvalsh(B)[-1]
+        assert cert.witness == pytest.approx(-0.79289321881)
+        assert cert.context["witness"] == "eigenvalue"
 
     @pytest.mark.parametrize(
         "entry, value", [((3, 7), np.nan), ((5, 5), np.nan), ((2, 9), np.inf)]
     )
     def test_non_finite_form_is_rejected(self, entry, value):
-        # np.linalg.cholesky does not raise on NaN, so the Cholesky route would
-        # PASS these NaN forms; inf makes eigvalsh raise LinAlgError instead
+        # rejected before the eigensolve, where NaN and inf both end in
+        # LinAlgError "Eigenvalues did not converge"
         A = np.zeros((20, 20), dtype=complex)
         A[entry] = value
         with pytest.raises(ValueError, match="NaN or infinite"), np.errstate(invalid="ignore"):
             certify_nsd(A)
 
-    def test_finite_form_whose_bound_overflows_goes_to_cholesky(self):
-        # entries whose squares overflow: a plain array is decided by Cholesky
+    def test_finite_form_whose_squares_overflow_is_decided_dense(self):
+        # entries whose squares overflow: eigvalsh scales them, and the top
+        # eigenvalue is exact
         cert = certify_nsd(-1e200 * np.eye(20))
-        assert cert.passed and cert.context["route"] == "cholesky"
+        assert cert.passed and cert.context["route"] == "dense"
         assert cert.witness == -1e200
 
     def test_hermitian_part_decides(self):
@@ -539,7 +543,7 @@ def test_pencil_eigenvalue_brackets_the_dense_solve(pair, N):
     assert cert.context["iterations"] <= N - 1
 
 
-# ---- NSD verdict: one Cholesky factorization against the top eigenvalue ----
+# ---- NSD verdict: the dense route against the top eigenvalue ----
 
 atom = st.tuples(
     st.one_of(st.just(1.0), st.floats(0, 1)),  # radius, boundary allowed
@@ -570,12 +574,8 @@ def test_certify_nsd_matches_top_eigenvalue(atoms, N, order, log_tol, offset):
     cert = certify_nsd(A, tol)
     if abs(top - tol) > 1e-3 * tol:
         assert cert.passed == (top <= tol)
-    if cert.passed:
-        assert cert.context["witness"] in ("diagonal", "eigenvalue")
-        assert cert.witness <= top + 1e-3 * tol
-    else:
-        assert cert.context["witness"] == "eigenvalue"
-        assert cert.witness == top
+    assert cert.context["witness"] == "eigenvalue"
+    assert cert.witness == top
 
 
 def peak_bytes(f, *args):
@@ -600,21 +600,21 @@ class TestSketchNsd:
         # three atoms: a core of 3 n at order n, one small eigvalsh each
         G = three_atom_gram(256)
         chol, eigs = spy(monkeypatch, "cholesky"), spy(monkeypatch, "eigvalsh")
-        for n, B in enumerate(hyperexpansive_forms(G, 5), 1):
-            cert = certify_nsd(B, order=n)
+        for n in range(1, 6):
+            cert = certify_nsd(hyperexpansive_form(G, n), order=n)
             assert cert.passed and cert.context["route"] == "factor"
             assert cert.context["core"] == 3 * n and cert.context["size"] == 256 - n
             assert cert.context["witness"] == "eigenvalue"
         assert chol == []
         assert eigs == [(3 * n, 3 * n) for n in range(1, 6)]
 
-    def test_negated_weights_fail_by_cholesky(self):
+    def test_negated_weights_fail_on_the_dense_route(self):
         # 2I - G negates every weight: the order-1 form is the moment matrix
         # transposed, PSD with top eigenvalue >= the total weight 2.3
         G = three_atom_gram(64).entries
         cert = certify_nsd(hyperexpansive_form(2 * np.eye(64) - G, 1))
         assert not cert.passed and cert.witness >= 2.3
-        assert cert.context["route"] == "cholesky"
+        assert cert.context["route"] == "dense"
         assert cert.context["witness"] == "eigenvalue"
 
     def test_positive_direction_outside_sketch_fails(self):
@@ -622,17 +622,17 @@ class TestSketchNsd:
         A = np.diag([-1.0] * 8 + [1e-3] + [0.0] * 31).astype(complex)
         cert = certify_nsd(A)
         assert not cert.passed and cert.witness == pytest.approx(1e-3)
-        assert cert.context["route"] == "cholesky"
+        assert cert.context["route"] == "dense"
 
     def test_tiny_positive_direction_outside_sketch_fails(self):
         # the same at scale 1e-200, where squares of the entries underflow
         A = 1e-200 * np.diag([-1.0] * 8 + [1e-20] + [0.0] * 31).astype(complex)
         cert = certify_nsd(A, tol=1e-250)
         assert not cert.passed and cert.witness == pytest.approx(1e-220)
-        assert cert.context["route"] == "cholesky"
+        assert cert.context["route"] == "dense"
 
     def test_sketch_route_allocates_less_than_one_form(self):
-        B = next(hyperexpansive_forms(three_atom_gram(513), 1))
+        B = hyperexpansive_form(three_atom_gram(513), 1)
         N = B.shape[0]
         cert, peak = peak_bytes(certify_nsd, B)
         assert cert.passed and cert.context["route"] == "factor"
@@ -645,15 +645,15 @@ class TestSketchNsd:
         assert rank == 3
         assert peak < N * N * 16
 
-    def test_cholesky_route_holds_no_sketch_array(self):
-        # tol*I - H, then np.linalg.cholesky's copy of it and the factor: three
-        # N x N arrays at the peak, none left over from the factor
+    def test_dense_route_allocates_only_the_hermitian_part(self):
+        # the Hermitian part H, built in place, and eigvalsh's copy of it,
+        # which tracemalloc does not see: 1.03 N x N arrays traced here
         G = three_atom_gram(513).entries
         A = hyperexpansive_form(2 * np.eye(513) - G, 1)
         N = A.shape[0]
         cert, peak = peak_bytes(certify_nsd, A)
-        assert not cert.passed and cert.context["route"] == "cholesky"
-        assert peak < 3.5 * N * N * 16
+        assert not cert.passed and cert.context["route"] == "dense"
+        assert peak < 2.5 * N * N * 16
 
 
 class TestPanelMemory:
@@ -741,7 +741,8 @@ def test_factor_takes_one_column_per_atom(k):
     G = dmu_gram(mu, 512)
     D = defect_matrix(G)
     assert D.factor.shape == (511, k) and numerical_rank(D) == k
-    for n, B in enumerate(hyperexpansive_forms(G, 5), 1):
+    for n in range(1, 6):
+        B = hyperexpansive_form(G, n)
         want = sum(1 for z, _ in mu.atoms if n == 1 or abs(z) < 1)
         assert B.factor.shape == (512 - n, k * n)
         assert np.count_nonzero(np.abs(np.linalg.eigvalsh(_core(B)[1])) > 1e-10) == want
@@ -758,7 +759,7 @@ def test_factor_takes_one_column_per_atom(k):
 )
 def test_certify_nsd_with_a_rank_one_bump(atoms, N, order, offset, seed):
     # the entries of an NSD form plus delta v v^H, delta = tol * (1 + offset),
-    # decided by Cholesky; verdicts against the top eigenvalue, outside a
+    # decided on the dense route; verdicts against the top eigenvalue, outside a
     # 1e-3 relative band around tol
     locs = [r * np.exp(1j * t) for r, t, _ in atoms]
     assume(len(set(locs)) == len(locs))
@@ -776,9 +777,8 @@ def test_certify_nsd_with_a_rank_one_bump(atoms, N, order, offset, seed):
         assert not cert.passed
     if top < tol * (1 - 1e-3):
         assert cert.passed
-    if cert.passed:
-        assert cert.witness <= top + 1e-3 * tol
-    assert cert.context["route"] == "cholesky"
+    assert cert.witness == top
+    assert cert.context["route"] == "dense"
 
 
 @settings(max_examples=200, deadline=None)
@@ -808,7 +808,7 @@ def test_factor_routes_match_the_dense_routes(k, rank, case, log_scale, log_tol,
     top = np.linalg.eigvalsh((A + A.conj().T) / 2)[-1]
     tol = 10**log_tol * np.abs(A).max()
     cert, dense = certify_nsd(B, tol), certify_nsd(A, tol)
-    assert cert.context["route"] == "factor" and dense.context["route"] == "cholesky"
+    assert cert.context["route"] == "factor" and dense.context["route"] == "dense"
     if abs(top - tol) > 1e-3 * tol:
         assert cert.passed == dense.passed == (top <= tol)
     D = defect_matrix(G)
@@ -883,9 +883,8 @@ def test_dmu_forms_are_weighted_moment_matrices(atoms, N):
     G = gram.entries
     scale = N * EPS * np.abs(G).max()
     for route in (gram, G):
-        closed = dmu_forms_closed(mu, N, N - 1)
-        for n, (B, want) in enumerate(zip(hyperexpansive_forms(route, N - 1), closed), 1):
-            assert np.abs(B - want).max() <= 2**n * scale
+        for n, want in enumerate(dmu_forms_closed(mu, N, N - 1), 1):
+            assert np.abs(hyperexpansive_form(route, n) - want).max() <= 2**n * scale
 
 
 # one heavy boundary atom at N = 512: forms built from independently rounded
@@ -898,7 +897,8 @@ HEAVY_BOUNDARY = PointMassMeasure(atoms=((0.6 + 0.8j, 10.0), (0.3 + 0.1j, 0.5)))
 def heavy_boundary():
     N = 512
     G = dmu_gram(HEAVY_BOUNDARY, N).entries
-    return G, list(zip(hyperexpansive_forms(G, 5), dmu_forms_closed(HEAVY_BOUNDARY, N, 5)))
+    forms = [hyperexpansive_form(G, n) for n in range(1, 6)]
+    return G, list(zip(forms, dmu_forms_closed(HEAVY_BOUNDARY, N, 5)))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -949,5 +949,5 @@ def test_hb_forms_match_binomial_sums(c, gamma, beta, fraction, N):
     G = gram.entries
     scale = N * EPS * np.abs(G).max()
     for route in (gram, G):
-        for n, B in enumerate(hyperexpansive_forms(route, N - 1), 1):
-            assert np.abs(B - binomial_form(G, n)).max() <= 2**n * scale
+        for n in range(1, N):
+            assert np.abs(hyperexpansive_form(route, n) - binomial_form(G, n)).max() <= 2**n * scale
