@@ -40,7 +40,7 @@ from .dirichlet import (
     truncated_cauchy_kernel,
 )
 from .hardy import h2_inner
-from .moments import RecoveryError, recover_atoms
+from .moments import RecoveryError, _frobenius, recover_atoms
 from .operators import (
     NSD_TOL,
     RANK_TOL,
@@ -257,10 +257,11 @@ def cmd_certify(args):
 def cmd_recover(args):
     if args.moments:
         M = _read_input(args.moments, gram_from_csv_text)
+        if _frobenius(M) == math.inf:
+            raise InputFileError(f"{args.moments}: entries too large, the matrix norm overflows")
     else:
         # the N x N moment matrix is the defect of the Gram of size N + 1
-        mu, _ = _measure_gram(args.measure, args.size + 1)
-        M = moment_matrix(mu, args.size)
+        M = defect_matrix(_measure_gram(args.measure, args.size + 1)[1])
     try:
         result = recover_atoms(M, k=args.atoms, rank_tol=_tol(args, "rank"))
     except RecoveryError as e:

@@ -52,7 +52,7 @@ def recover_atoms(M, k=None, rank_tol=RANK_TOL):
     GramMatrix, or a square array. One `eigh` gives both the rank and the
     basis: for a FactoredForm F = Q S Q^H (`_core`) that of its small core
     S, whose eigenvectors W give the Ritz basis Q W, without an N x N
-    array; for an array that of its Hermitian part H.
+    array; for an array that of its Hermitian part H (`_core`).
 
     k is the expected atom count; when omitted it is the numerical rank at
     rank_tol: the number of |eigenvalues| above rank_tol times the largest,
@@ -72,18 +72,17 @@ def recover_atoms(M, k=None, rank_tol=RANK_TOL):
     otherwise the constrained optimum has a zero weight, which is rejected too.
     With the Vandermonde factor V = QR, ||M - V W V^H||_F^2 and
     ||Q^H M Q - R W R^H||_F^2 differ by a constant, so the fit is solved on
-    the k^2 entries of the second; for a FactoredForm, Q^H M Q is
-    (Q^H Y) diag(c) (Q^H Y)^H. The reported residual is ||M - V W V^H||_F
-    (`_residual`).
+    the k^2 entries of the second. For a FactoredForm, one thin QR
+    [V, Y] = Q' R' gives R = R'[:k, :k], Q^H M Q = P diag(c) P^H with
+    P = R'[:k, k:], and the residual ||M - V W V^H||_F as the norm of the
+    core R' diag(-w, c) R'^H. The condition is cond(R) = cond(V).
     """
     factored = isinstance(M, FactoredForm)
-    if factored:
-        Qf, S = _core(M)
-    else:
+    if not factored:
         M = np.asarray(M, dtype=complex)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise RecoveryError("moment matrix must be square")
-        S = (M + M.conj().T) / 2
+    Qf, S = _core(M)
     N = M.shape[0]
     lam, W = np.linalg.eigh(S)
     rank = _count_above(np.abs(lam), rank_tol)
@@ -91,11 +90,7 @@ def recover_atoms(M, k=None, rank_tol=RANK_TOL):
     if k < 0:
         raise RecoveryError(f"atom count {k} must be >= 0")
     if k == 0:
-        return RecoveryResult(
-            measure=PointMassMeasure.empty(),
-            residual=_residual(M, np.zeros((N, 0)), np.zeros(0)),
-            condition=1.0,
-        )
+        return RecoveryResult(PointMassMeasure.empty(), _frobenius(S if factored else M), 1.0)
     if k > rank:
         raise RecoveryError(f"requested {k} atoms but numerical rank is {rank}")
     if N < k + 1:
@@ -122,34 +117,27 @@ def recover_atoms(M, k=None, rank_tol=RANK_TOL):
     locs = np.asarray(clamped)
 
     V = hardy.powers(locs, N).T
-    Q, R = np.linalg.qr(V)
+    if factored:
+        R2 = np.linalg.qr(np.hstack([V, M.factor]), mode="r")
+        R, P = R2[:k, :k], R2[:k, k:]
+        target = (P * M.weights) @ P.conj().T
+    else:
+        Q, R = np.linalg.qr(V)
+        target = Q.conj().T @ M @ Q
     # column i of the basis is R[:, i] R[:, i]^H, the image of atom i's outer product
     basis = (R[:, np.newaxis, :] * R.conj()[np.newaxis, :, :]).reshape(k * k, k)
-    if factored:
-        target = np.asarray(FactoredForm(Q.conj().T @ M.factor, M.weights)).ravel()
-    else:
-        target = (Q.conj().T @ M @ Q).ravel()
     A = np.vstack([basis.real, basis.imag])
-    rhs = np.concatenate([target.real, target.imag])
+    rhs = np.concatenate([target.real.ravel(), target.imag.ravel()])
     weights, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     if np.any(weights <= WEIGHT_FLOOR):
         raise RecoveryError("recovered a nonpositive atom weight")
 
-    residual = _residual(M, V, weights)
-    condition = float(np.linalg.cond(V))
-    measure = PointMassMeasure(atoms=tuple(zip(locs, weights)))
-    return RecoveryResult(measure=measure, residual=residual, condition=condition)
-
-
-def _residual(M, V, w):
-    """||M - V diag(w) V^H||_F. For a FactoredForm Y diag(c) Y^H that is the
-    norm of the core of the FactoredForm [Y, V] with weights (c, -w), as
-    Q S Q^H has the norm of S; for an array, that of the difference."""
-    if isinstance(M, FactoredForm):
-        _, D = _core(FactoredForm(np.hstack([M.factor, V]), np.concatenate([M.weights, -w])))
+    if factored:
+        residual = _frobenius((R2 * np.concatenate([-weights, M.weights])) @ R2.conj().T)
     else:
-        D = M - (V * w) @ V.conj().T
-    return _frobenius(D)
+        residual = _frobenius(M - (V * weights) @ V.conj().T)
+    measure = PointMassMeasure(atoms=tuple(zip(locs, weights)))
+    return RecoveryResult(measure=measure, residual=residual, condition=float(np.linalg.cond(R)))
 
 
 def _frobenius(A):

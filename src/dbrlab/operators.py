@@ -140,13 +140,22 @@ def _generator_form(U, n):
 
 
 def _core(F):
-    """(Q, S): the thin QR F.factor = Q R and the core S = R diag(c) R^H of
-    the FactoredForm F, so that F = Q S Q^H.
+    """(Q, S) with F = Q S Q^H. For a FactoredForm, the thin QR
+    F.factor = Q R and the core S = R diag(c) R^H; for a plain array,
+    (None, S) with S its Hermitian part (F + F^H) / 2, built in place.
 
     S is p' x p', p' = min(m, p) for the m x p factor. F has the eigenvalues
     of S and, when m > p', the eigenvalue 0 on the complement of Q's range.
-    A NaN or infinite factor raises ValueError.
+    A NaN or infinite factor or entry raises ValueError.
     """
+    if not isinstance(F, FactoredForm):
+        A = np.asarray(F, dtype=complex)
+        if not np.isfinite(A).all():
+            raise ValueError("form has a NaN or infinite entry")
+        S = np.conj(A.T)
+        S += A
+        S *= 0.5
+        return None, S
     Y = F.factor
     if not np.isfinite(Y).all():
         raise ValueError("factor has a NaN or infinite entry")
@@ -161,7 +170,7 @@ def certify_nsd(B, tol=NSD_TOL, order=None):
     the eigenvalues of its small core S, whose size is context["core"]. The
     top eigenvalue of F is the largest of them and, when the factor has more
     rows than S, the 0 of the complement of Q's range. A plain array is
-    decided on route "dense" by eigvalsh of its Hermitian part. On both
+    decided on route "dense" by eigvalsh of its Hermitian part (`_core`). On both
     routes the top eigenvalue is the witness (context["witness"] is
     "eigenvalue"), and the certificate passes when it is <= tol.
 
@@ -169,17 +178,11 @@ def certify_nsd(B, tol=NSD_TOL, order=None):
     ValueError: no route can decide it. context["route"] names the route,
     context["size"] the form's size; order only labels context["order"].
     """
-    if isinstance(B, FactoredForm):
-        S = _core(B)[1]
-        context = {"size": B.shape[0], "core": len(S), "route": "factor"}
-    else:
-        A = np.asarray(B, dtype=complex)
-        if not np.isfinite(A).all():
-            raise ValueError("form has a NaN or infinite entry")
-        S = np.conj(A.T)
-        S += A
-        S *= 0.5
+    Q, S = _core(B)
+    if Q is None:
         context = {"size": len(S), "route": "dense"}
+    else:
+        context = {"size": len(Q), "core": len(S), "route": "factor"}
     m = context["size"]
     top = float(np.linalg.eigvalsh(S).max(initial=-np.inf if len(S) == m > 0 else 0.0))
     context.update(order=order, witness="eigenvalue")
@@ -337,14 +340,14 @@ def _pencil_top(U, d):
 def rank1_defect_check(G_b, pair, tol=1e-8):
     """Verify the H(b) defect is rank 1 with eigenvalue rho^-2 ||S*b||_b^2.
 
-    Runs on the generator rows U of the GramMatrix G_b, whose entries are
-    never built. The defect is D = U1^T conj(U1), U1 = U[:, 1:], so its
-    singular values are those of U1 squared, and its rank, as
-    numerical_rank counts it at RANK_TOL, comes from the SVD of the
-    k x (N - 1) U1. The defect entries are coefficients against
+    Runs on the one generator row U of the GramMatrix G_b (`hb_gram`),
+    whose entries are never built; a Gram with any other number of rows
+    raises ValueError. The defect is D = d d^H, d = U[0, 1:], and its rank
+    is numerical_rank(defect_matrix(G_b)), as the defect-rank certificate
+    counts it. The defect entries are coefficients against
     non-orthonormal monomials, so the operator eigenvalue is the top
-    generalized eigenvalue of the pencil (defect, Gram). A rank-1 defect
-    D = d d^H has exactly one nonzero pencil eigenvalue, theta = d^H G^-1 d,
+    generalized eigenvalue of the pencil (defect, Gram): a rank-1 defect
+    has exactly one nonzero pencil eigenvalue, theta = d^H G^-1 d,
     G the leading N - 1 block of the Gram. It is computed by
     Jacobi-preconditioned conjugate gradients on G (`_pencil_top`, Toeplitz
     products by FFT, a few steps here), which stop at a reported lower
@@ -358,11 +361,12 @@ def rank1_defect_check(G_b, pair, tol=1e-8):
     context["bound"] the bracket's width.
     """
     U = _generators(G_b)
+    if len(U) != 1:
+        raise ValueError(f"needs an H(b) Gram of one generator row, got {len(U)}")
     if U.shape[1] < 2:
         raise ValueError("need a Gram matrix of size >= 2")
-    U1 = U[:, 1:]
-    _, s, Vh = np.linalg.svd(U1, full_matrices=False)
-    rank = _count_above(s**2, RANK_TOL)
+    d = U[0, 1:]
+    rank = numerical_rank(defect_matrix(G_b))
     b = pair.b
     q = b.c * b.beta + b.gamma
     if q == 0:
@@ -372,15 +376,11 @@ def rank1_defect_check(G_b, pair, tol=1e-8):
             kind="rank1-defect",
             passed=passed,
             # max|D|, the largest diagonal entry of the PSD D
-            witness=float((U1.real**2 + U1.imag**2).sum(axis=0).max()),
+            witness=float((d.real**2 + d.imag**2).max()),
             tolerance=tol,
             context={"rank": rank, "degenerate": True},
         )
     ref = abs(q) ** 2 * debranges.hb_cauchy_norm(pair, np.conj(b.beta)) / pair.rho**2
-    # D = sum_i s_i^2 Vh[i]^T conj(Vh[i]), so when rank == 1, which the verdict
-    # requires, D = d d^H for d = s_1 Vh[0]: exactly U1[0] when U has one row,
-    # as an H(b) Gram has
-    d = U1[0] if len(U1) == 1 else s[:1] @ Vh[:1]
     theta, bound, iterations = _pencil_top(U, d)
     rel = abs(theta - ref) / abs(ref)
     return Certificate(

@@ -13,6 +13,8 @@ from dbrlab.cli import gram_from_csv_text, gram_to_csv_text, main, parse_complex
 from dbrlab.debranges import MoebiusSymbol
 from dbrlab.dirichlet import PointMassMeasure, dmu_gram, moment_matrix
 from dbrlab.debranges import hb_gram
+from dbrlab.moments import recover_atoms
+from dbrlab.operators import defect_matrix
 from dbrlab.synthesis import point_mass, synthesized_pair
 
 
@@ -472,6 +474,30 @@ def test_overflowing_gram_entry_is_a_usage_error(tmp_path, capsys, weight, argv,
         assert json.loads(capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("weight", [1e300, 1e307, 4e307, 5e307, 1e308])
+def test_overflowing_moment_norm_is_a_usage_error(tmp_path, capsys, weight):
+    # one atom at 0.9, size 8: every cell is finite, but from 5e307 on the
+    # matrix's Frobenius norm (about 4.3 w) and its top eigenvalue overflow
+    M = moment_matrix(PointMassMeasure.single(0.9, weight), 8)
+    assert np.isfinite(M).all()
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(M / weight) * weight
+    assert np.isinf(norm) == (weight >= 5e307)
+    csv = tmp_path / "m.csv"
+    csv.write_text(gram_to_csv_text(M))
+    args = ["recover", "--moments", str(csv)]
+    if np.isinf(norm):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+    else:
+        assert main(args) == 0
+        ((atom,),) = (json.loads(capsys.readouterr().out)["atoms"],)
+        assert atom["re"] == pytest.approx(0.9, abs=1e-12)
+        assert atom["weight"] == pytest.approx(weight, rel=1e-12)
+
+
 def test_dump_writes_non_finite_floats_as_strings(capsys):
     cli._dump({"a": [float("-inf"), float("nan"), 1.5], "b": {"c": float("inf")}}, None)
     assert json.loads(capsys.readouterr().out) == {"a": ["-inf", "nan", 1.5], "b": {"c": "inf"}}
@@ -484,6 +510,17 @@ class TestRecover:
         assert main(["recover", "--measure", path, "--size", "8"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert len(out["atoms"]) == 2 and out["residual"] <= 1e-10
+
+    @pytest.mark.parametrize("N", [8, 64])
+    def test_measure_recovers_from_the_defect_factor(self, tmp_path, capsys, N):
+        # the N x N moment matrix is the defect of the Gram of size N + 1,
+        # and `recover --measure` takes its factor, as roundtrip_check does
+        mu = PointMassMeasure(atoms=((0.5, 1.0), (-0.3 + 0.4j, 0.5), (1j, 0.2)))
+        path = write_measure(tmp_path, mu)
+        assert main(["recover", "--measure", path, "--size", str(N)]) == 0
+        out = capsys.readouterr().out
+        cli._dump(recover_atoms(defect_matrix(dmu_gram(mu, N + 1))).to_json_dict(), None)
+        assert out == capsys.readouterr().out
 
     def test_from_moment_csv(self, tmp_path, capsys):
         mu = PointMassMeasure.single(0.5, 1.0)

@@ -279,3 +279,39 @@ def test_matches_eigh_route():
                 assert match_atoms(want, got) <= 1e-10
                 assert match_atoms(mu, got) <= 1e-10
 
+
+
+# ---- the factor route of a measure against the dense route on its moments ----
+
+ROUNDTRIP_TOL = 1e-8  # roundtrip_check's default tolerance
+
+# radius and weight as the benchmark draws them: boundary atoms, interior
+# atoms up to radius 0.95, weights in [0.1, 1]
+bench_atom = st.tuples(
+    st.one_of(st.just(1.0), st.floats(0, 0.95)),
+    st.floats(0, 2 * np.pi),
+    st.floats(0.1, 1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(atoms=st.lists(bench_atom, min_size=1, max_size=4), N=st.integers(2, 128))
+def test_factor_route_recovers_whatever_the_dense_route_recovers(atoms, N):
+    # the dense route on the N x N moment matrix is the oracle: whenever it
+    # recovers mu, the defect factor of the Gram of size N + 1 (the route of
+    # `recover --measure`) gives the same atom count and the same atoms. The
+    # atoms are kept 0.05 apart: in closer clusters near the origin the dense
+    # route can still pass at 9e-9 from mu, while the factor route stays near
+    # 1e-12, so the two would agree within ROUNDTRIP_TOL only by luck
+    atoms = [(r * np.exp(1j * t), w) for r, t, w in atoms]
+    assume(all(abs(a - b) >= 0.05 for i, (a, _) in enumerate(atoms) for b, _ in atoms[:i]))
+    mu = PointMassMeasure(atoms=tuple(atoms))
+    try:
+        dense = recover_atoms(moment_matrix(mu, N)).measure
+    except RecoveryError:
+        dense = None
+    assume(dense is not None and match_atoms(mu, dense) <= ROUNDTRIP_TOL)
+    factor = recover_atoms(defect_matrix(dmu_gram(mu, N + 1))).measure
+    assert len(factor) == len(dense)
+    assert match_atoms(dense, factor) <= ROUNDTRIP_TOL
+    assert match_atoms(mu, factor) <= ROUNDTRIP_TOL

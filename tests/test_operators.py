@@ -358,9 +358,9 @@ class TestSketchRank:
         eigs.clear()
         qrs = spy(monkeypatch, "qr")
         assert len(recover_atoms(D).measure) == k
-        # the factor's QR, one Vandermonde QR and the residual's QR of the
-        # factor beside the Vandermonde
-        assert qrs == [(511, k), (511, k), (511, 2 * k)]
+        # the factor's QR, and one QR of the Vandermonde beside the factor
+        # for the fit and the residual
+        assert qrs == [(511, k), (511, 2 * k)]
         assert svds == []
         # one k x k eigh gives the recovery its rank and its Ritz basis
         assert eigs == [] and eighs == [(k, k)]
@@ -479,6 +479,25 @@ class TestRank1Defect:
         pair = synthesized_pair(1.0, 0.5)
         with pytest.raises(TypeError):
             rank1_defect_check(hb_gram(pair, 24).entries, pair)
+
+    def test_needs_one_generator_row(self):
+        # an H(b) Gram has one generator row; a D(mu) Gram has one per atom
+        pair = synthesized_pair(1.0, 0.5)
+        G = dmu_gram(PointMassMeasure(atoms=((0.5, 1.0), (-0.3 + 0.4j, 0.5))), 24)
+        assert G.generators.shape == (2, 24)
+        with pytest.raises(ValueError, match="one generator row"):
+            rank1_defect_check(G, pair)
+
+    @pytest.mark.parametrize("N", [24, 512])
+    def test_rank_needs_no_svd(self, monkeypatch, N):
+        # the rank is the defect-rank route: the eigenvalue of the 1 x 1 core
+        # of the defect factor, with no SVD of the generator row
+        pair = synthesized_pair(1.0, 0.5)
+        G = hb_gram(pair, N)
+        svds, eigs = spy(monkeypatch, "svd"), spy(monkeypatch, "eigvalsh")
+        cert = rank1_defect_check(G, pair)
+        assert cert.passed and cert.context["rank"] == 1
+        assert svds == [] and eigs == [(1, 1)]
 
     def test_constant_symbol_degenerate(self):
         # c beta + gamma = 0 exactly: b = (0.5 - 0.2 z)/(1 - 0.4 z) = 0.5, S*b = 0
