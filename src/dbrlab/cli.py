@@ -111,13 +111,14 @@ class InputFileError(Exception):
 
 def _read_input(path, parse):
     """parse(text of the file at path). A file that cannot be read, or text
-    that parse rejects, raises InputFileError. A SymbolError passes through:
-    `mate` reports an invalid symbol as a failed check (exit 1)."""
+    that parse rejects (OverflowError for an integer beyond the float range),
+    raises InputFileError. A SymbolError passes through: `mate` reports an
+    invalid symbol as a failed check (exit 1)."""
     try:
         return parse(Path(path).read_text())
     except SymbolError:
         raise
-    except (OSError, ValueError, KeyError, TypeError) as e:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as e:
         detail = f"missing key {e}" if isinstance(e, KeyError) else str(e)
         raise InputFileError(f"cannot read {path}: {detail}") from e
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hardy
-from .dirichlet import GramMatrix
+from .dirichlet import GramMatrix, json_complex
 
 # tolerance for the exact coefficient feasibility / innerness classification
 CLASS_TOL = 1e-12
@@ -94,9 +94,9 @@ class MoebiusSymbol:
     @classmethod
     def from_json_dict(cls, d):
         return cls(
-            c=complex(d["c"]["re"], d["c"]["im"]),
-            gamma=complex(d["gamma"]["re"], d["gamma"]["im"]),
-            beta=complex(d["beta"]["re"], d["beta"]["im"]),
+            c=json_complex(d["c"]),
+            gamma=json_complex(d["gamma"]),
+            beta=json_complex(d["beta"]),
         )
 
 

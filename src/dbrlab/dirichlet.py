@@ -19,6 +19,19 @@ from . import hardy
 DISK_TOL = 1e-12
 
 
+def _json_number(x):
+    """x, a number read from JSON; a bool (a subclass of int) or a string
+    raises TypeError."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"expected a number, got {x!r}")
+    return x
+
+
+def json_complex(d):
+    """complex(d["re"], d["im"]) for an object read from JSON (`_json_number`)."""
+    return complex(_json_number(d["re"]), _json_number(d["im"]))
+
+
 @dataclass(frozen=True)
 class PointMassMeasure:
     """mu = sum_i weight_i * delta_{location_i} on the closed unit disk."""
@@ -61,7 +74,7 @@ class PointMassMeasure:
     def from_json_dict(cls, d):
         return cls(
             atoms=tuple(
-                (complex(a["re"], a["im"]), a["weight"]) for a in d["atoms"]
+                (json_complex(a), _json_number(a["weight"])) for a in d["atoms"]
             )
         )
 

@@ -9,8 +9,9 @@ negative semidefinite, and the defect is minus the transposed order-1 form.
 A `GramMatrix` G = I + sum_r T_r T_r^H gives each form, the defect
 included, as the `FactoredForm` of its Toeplitz generator rows,
 B_n^T = -X C_n X^H, without its entries, and the NSD verdict and the rank
-are decided on that factor's small core; the two H(b) checks, the ratio
-identity and the rank-1 defect, read those generators only.
+are decided on that factor's small core. Of the two H(b) checks, the ratio
+identity reads those generators only, and the rank-1 defect its one row
+and the symbol's banded factors of the Gram.
 """
 
 import math
@@ -276,65 +277,33 @@ def ratio_identity_check(G_b, pair, n_max, tol=1e-8):
     )
 
 
-def _gram_product(F, x):
-    """G x for G = I + sum_r T_r T_r^H of size n = len(x), where F holds the
-    length-L FFTs, L >= 2n - 1, of the generator rows cut to n entries.
+def _pencil_top(pair, d):
+    """theta = d^H G^-1 d for the leading n = len(d) block G of the H(b) Gram
+    of the nonextreme pair, from the symbol's banded factors.
 
-    T_r^H x is a correlation and T_r y a convolution, each one circular
-    product by FFT; the zero padding to L keeps the wrap-around out of the
-    first n entries, the only ones kept.
+    On degree < n, with (J f)_i = f_(i+1), f+ = B A^-1 f for A = rho - conj(sigma) J
+    and B = conj(c) + conj(gamma) J: the (1 - conj(beta) J)^-1 factors of
+    T_conj(a) and T_conj(b) cancel, as both are polynomials in J. So
+    G = conj(I + (B A^-1)^H B A^-1) = conj(A^-H K A^-1) with K = A^H A + B^H B,
+    Hermitian positive definite and tridiagonal: K[0, 0] = rho^2 + |c|^2,
+    K[i, i] = rho^2 + |sigma|^2 + |c|^2 + |gamma|^2 for i >= 1 and
+    K[i-1, i] = c conj(gamma) - rho conj(sigma). Then theta = y^H K^-1 y with
+    y = A^H conj(d), y_i = rho conj(d_i) - sigma conj(d_(i-1)). With K = L D L^H,
+    L unit lower bidiagonal, theta is the sum of |z_i|^2 / D_i for L z = y: one
+    O(n) recurrence, on Python complex scalars as in `debranges.fplus`.
     """
-    fft = np.fft
-    n = len(x)
-    y = fft.ifft(np.conj(F) * fft.fft(x, F.shape[1]), axis=1)
-    y[:, n:] = 0
-    return x + fft.ifft((F * fft.fft(y, axis=1)).sum(axis=0))[:n]
-
-
-def _pencil_top(U, d):
-    """(theta, bound, iterations): d^H G^-1 d for the leading n = len(d) block
-    G = I + sum_r T_r T_r^H of the Gram with generator rows U, by
-    Jacobi-preconditioned conjugate gradients (Hestenes & Stiefel, 1952).
-
-    That block is the Gram of U[:, :n]. Each step is one `_gram_product`,
-    T_r^H and then T_r applied as Toeplitz products by FFT, so no n x n
-    array is formed. The preconditioner is 1 / diag(G), with diag(G) one
-    plus the cumulative sum of sum_r |U[r]|^2. Entries of a search
-    direction below eps * max|p| are flushed to zero, as GramMatrix flushes
-    its generators: graded iterates otherwise drift into subnormals. The
-    loop stops when ||r||^2 <= eps * theta, or after n steps, where CG
-    terminates in exact arithmetic; a NaN stops it at once. Then one more
-    product gives the true residual r = d - G x, and
-    theta = Re(d^H x) + Re(x^H r). For any x the exact value is
-    theta + r^H G^-1 r, so theta is a lower bound, and when G >= I the gap
-    is at most bound = ||r||^2.
-    """
-    eps = np.finfo(float).eps
-    n = len(d)
-    U = U[:, :n]
-    F = np.fft.fft(U, 1 << (2 * n - 2).bit_length(), axis=1)
-    dinv = 1.0 / (1 + np.cumsum((U.real**2 + U.imag**2).sum(axis=0)))
-    x = np.zeros_like(d)
-    r = d.copy()
-    p = r * dinv
-    rz = np.vdot(r, p).real
-    theta = 0.0
-    k = 0
-    while k < n and np.vdot(r, r).real > eps * theta:
-        p[np.abs(p) < eps * np.abs(p).max()] = 0
-        q = _gram_product(F, p)
-        alpha = rz / np.vdot(p, q).real
-        x += alpha * p
-        r -= alpha * q
-        theta = np.vdot(d, x).real
-        z = r * dinv
-        rz, rz_old = np.vdot(r, z).real, rz
-        p *= rz / rz_old
-        p += z
-        k += 1
-    r = d - _gram_product(F, x)
-    theta = float(np.vdot(d, x).real + np.vdot(x, r).real)
-    return theta, float(np.vdot(r, r).real), k
+    b, rho, sigma = pair.b, pair.rho, pair.sigma
+    e = b.c.conjugate() * b.gamma - rho * sigma  # K[i, i-1]
+    e2 = abs(e) ** 2
+    k1 = rho * rho + abs(sigma) ** 2 + abs(b.c) ** 2 + abs(b.gamma) ** 2
+    x = np.conj(d).tolist()
+    z, D = rho * x[0], rho * rho + abs(b.c) ** 2
+    theta = (z.real**2 + z.imag**2) / D
+    for prev, cur in zip(x, x[1:]):
+        z = rho * cur - sigma * prev - e / D * z
+        D = k1 - e2 / D
+        theta += (z.real**2 + z.imag**2) / D
+    return theta
 
 
 def rank1_defect_check(G_b, pair, tol=1e-8):
@@ -348,17 +317,13 @@ def rank1_defect_check(G_b, pair, tol=1e-8):
     non-orthonormal monomials, so the operator eigenvalue is the top
     generalized eigenvalue of the pencil (defect, Gram): a rank-1 defect
     has exactly one nonzero pencil eigenvalue, theta = d^H G^-1 d,
-    G the leading N - 1 block of the Gram. It is computed by
-    Jacobi-preconditioned conjugate gradients on G (`_pencil_top`, Toeplitz
-    products by FFT, a few steps here), which stop at a reported lower
-    bound with the exact value in [theta, theta + bound], bound = ||r||^2
-    for the final true residual r. The bracket needs lambda_min(G) >= 1,
-    which holds on H(b): G = I + T T^H, since ||f||_b >= ||f||_2 for every
-    polynomial f. theta is compared with the independent closed form:
-    S*b = (c beta + gamma) k_w, the Cauchy kernel at w = conj(beta), so
+    G the leading N - 1 block of the Gram. It is applied through the
+    pair's banded factors, G = conj(A^-H K A^-1) with A bidiagonal and K
+    tridiagonal (`_pencil_top`), so G_b must be hb_gram of this pair. theta
+    is compared with the independent closed form: S*b = (c beta + gamma) k_w,
+    the Cauchy kernel at w = conj(beta), so
     rho^-2 ||S*b||_b^2 = rho^-2 |c beta + gamma|^2 ||k_w||_b^2.
-    context["route"] is "cg", context["iterations"] its step count and
-    context["bound"] the bracket's width.
+    context["route"] is "banded".
     """
     U = _generators(G_b)
     if len(U) != 1:
@@ -381,19 +346,12 @@ def rank1_defect_check(G_b, pair, tol=1e-8):
             context={"rank": rank, "degenerate": True},
         )
     ref = abs(q) ** 2 * debranges.hb_cauchy_norm(pair, np.conj(b.beta)) / pair.rho**2
-    theta, bound, iterations = _pencil_top(U, d)
+    theta = _pencil_top(pair, d)
     rel = abs(theta - ref) / abs(ref)
     return Certificate(
         kind="rank1-defect",
         passed=rank == 1 and rel <= tol,
         witness=rel,
         tolerance=tol,
-        context={
-            "rank": rank,
-            "eigenvalue": theta,
-            "reference": ref,
-            "route": "cg",
-            "iterations": iterations,
-            "bound": bound,
-        },
+        context={"rank": rank, "eigenvalue": theta, "reference": ref, "route": "banded"},
     )

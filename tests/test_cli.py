@@ -84,6 +84,16 @@ BAD_FILES = {
     "nan_cell": "1.0,0.0,nan,0.0\n0.5,0.0,1.0,0.0\n",
     "inf_cell": "1.0,0.0,0.5,inf\n0.5,0.0,1.0,0.0\n",
     "huge_cell": "1e400,0.0\n",
+    # json reads true as a bool and "2" as a string; neither is a number,
+    # though bool is a subclass of int and float("2") is 2.0
+    "str_weight": '{"atoms": [{"re": 0.5, "im": 0.0, "weight": "2"}]}',
+    "bool_atom": '{"atoms": [{"re": true, "im": false, "weight": true}]}',
+    "bool_symbol": (
+        '{"c": {"re": false, "im": 0.0}, "gamma": {"re": 0.5, "im": false},'
+        ' "beta": {"re": 0.0, "im": 0.0}}'
+    ),
+    # an integer of 400 digits: float() of it overflows
+    "long_weight": '{"atoms": [{"re": 0.5, "im": 0.0, "weight": 1%s}]}' % ("0" * 400),
 }
 
 
@@ -135,6 +145,14 @@ BAD_FILES = {
         ["mate", "--symbol", "{malformed}"],
         ["mate", "--symbol", "{no_beta}"],
         ["mate", "--symbol", "{missing}"],
+        ["certify", "--measure", "{str_weight}"],
+        ["certify", "--measure", "{bool_atom}"],
+        ["recover", "--measure", "{str_weight}", "--size", "4"],
+        ["recover", "--measure", "{bool_atom}", "--size", "4"],
+        ["verify-equality", "--measure", "{str_weight}"],
+        ["verify-equality", "--measure", "{bool_atom}"],
+        ["mate", "--symbol", "{bool_symbol}"],
+        ["certify", "--measure", "{long_weight}"],
     ],
 )
 def test_out_of_range_input_exits_2(tmp_path, capsys, argv):
