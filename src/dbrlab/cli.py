@@ -10,6 +10,10 @@ Subcommands
 
 All JSON output is deterministic (sorted keys, shortest round-trip
 floats); exit status is 0 exactly when every emitted certificate passes.
+
+`mate` and `synthesize` run on the numpy-free `symbols` module alone, so
+this module imports numpy and the numeric modules inside the commands and
+helpers that use them.
 """
 
 import argparse
@@ -19,42 +23,16 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .debranges import (
+from .symbols import (
     CIRCLE_SAMPLES,
-    MoebiusSymbol,
-    SymbolError,
-    hb_cauchy_norm,
-    hb_gram,
-    hb_inner,
-    pythagorean_mate,
-)
-from .dirichlet import (
     DISK_TOL,
-    PointMassMeasure,
-    dmu_cauchy_norm,
-    dmu_gram,
-    dmu_inner,
-    moment_matrix,
-    truncated_cauchy_kernel,
-)
-from .hardy import h2_inner
-from .moments import RecoveryError, _frobenius, recover_atoms
-from .operators import (
     NSD_TOL,
     RANK_TOL,
     Certificate,
-    certify_nsd,
-    defect_matrix,
-    hyperexpansive_form,
-    numerical_rank,
-)
-from .synthesis import (
-    equality_certificate,
-    point_mass,
+    MoebiusSymbol,
+    SymbolError,
+    pythagorean_mate,
     synthesize_symbol,
-    synthesized_pair,
 )
 
 DEFAULT_TOLS = {
@@ -124,12 +102,18 @@ def _read_input(path, parse):
 
 
 def _load_measure(path):
+    from .dirichlet import PointMassMeasure
+
     return _read_input(path, lambda t: PointMassMeasure.from_json_dict(json.loads(t)))
 
 
 def _measure_gram(path, N):
     """(mu, dmu_gram(mu, N)) for the measure file at path; a usage error
     when the Gram's largest entry 1 + sum_r w_r sum_(l<N-1) |z_r|^(2l) overflows."""
+    import numpy as np
+
+    from .dirichlet import dmu_gram
+
     mu = _load_measure(path)
     G = dmu_gram(mu, N)
     with np.errstate(over="ignore"):
@@ -148,12 +132,16 @@ def _tol(args, key):
 
 def gram_to_csv_text(M):
     """Row-major CSV dump with 're,im' cell pairs."""
+    import numpy as np
+
     rows = np.asarray(M, dtype=complex).tolist()
     return "".join(",".join(f"{z.real!r},{z.imag!r}" for z in row) + "\n" for row in rows)
 
 
 def gram_from_csv_text(text):
     """Parse the 're,im' pair CSV back into a complex matrix of finite cells."""
+    import numpy as np
+
     rows = []
     for line in text.strip().splitlines():
         vals = [float(v) for v in line.split(",")]
@@ -197,6 +185,10 @@ def cmd_synthesize(args):
 
 
 def cmd_verify_equality(args):
+    from .debranges import hb_gram
+    from .dirichlet import dmu_gram
+    from .synthesis import equality_certificate, point_mass, synthesized_pair
+
     if args.measure:
         mu = _load_measure(args.measure)
         if len(mu) != 1:
@@ -207,7 +199,7 @@ def cmd_verify_equality(args):
             )
             return 1
         (lam, weight), = mu.atoms
-        alpha = complex(np.sqrt(weight))
+        alpha = complex(math.sqrt(weight))
     else:
         alpha, lam = args.alpha, args.lam
     G = dmu_gram(point_mass(alpha, lam), args.size)
@@ -222,6 +214,11 @@ def cmd_verify_equality(args):
 
 
 def cmd_certify(args):
+    import numpy as np
+
+    from .dirichlet import moment_matrix
+    from .operators import certify_nsd, defect_matrix, hyperexpansive_form, numerical_rank
+
     mu, G = _measure_gram(args.measure, args.size)
     nsd_tol = _tol(args, "nsd")
     certs = [
@@ -256,6 +253,9 @@ def cmd_certify(args):
 
 
 def cmd_recover(args):
+    from .moments import RecoveryError, _frobenius, recover_atoms
+    from .operators import defect_matrix
+
     if args.moments:
         M = _read_input(args.moments, gram_from_csv_text)
         if _frobenius(M) == math.inf:
@@ -273,6 +273,13 @@ def cmd_recover(args):
 
 
 def cmd_kernel_norms(args):
+    import numpy as np
+
+    from .debranges import hb_cauchy_norm, hb_inner
+    from .dirichlet import dmu_cauchy_norm, dmu_inner, truncated_cauchy_kernel
+    from .hardy import h2_inner
+    from .synthesis import point_mass, synthesized_pair
+
     pair = synthesized_pair(args.alpha, args.lam)
     mu = point_mass(args.alpha, args.lam)
     rng = np.random.default_rng(args.seed)
@@ -329,6 +336,15 @@ def _radius(s):
     return r
 
 
+def _alpha(s):
+    """argparse type: a complex alpha whose weight |alpha|^2 is a finite float."""
+    z = parse_complex(s)
+    a = math.hypot(z.real, z.imag)
+    if not math.isfinite(a * a):
+        raise argparse.ArgumentTypeError(f"|alpha|^2 of {s!r} exceeds the float range")
+    return z
+
+
 def _disk_point(s):
     """argparse type: a complex value in the closed unit disk, up to DISK_TOL."""
     z = parse_complex(s)
@@ -375,7 +391,7 @@ def build_parser():
     p.set_defaults(func=cmd_mate)
 
     p = sub.add_parser("synthesize", help="symbol from (alpha, lambda)")
-    p.add_argument("--alpha", type=parse_complex, required=True)
+    p.add_argument("--alpha", type=_alpha, required=True)
     p.add_argument("--lambda", dest="lam", type=_disk_point, required=True)
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_synthesize)
@@ -383,7 +399,7 @@ def build_parser():
     p = sub.add_parser("verify-equality", help="Gram equality of D(mu) and H(b)")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--measure", help="single-atom measure JSON file")
-    g.add_argument("--alpha", type=parse_complex)
+    g.add_argument("--alpha", type=_alpha)
     p.add_argument("--lambda", dest="lam", type=_disk_point, default=0j)
     p.add_argument("--size", type=_at_least(2), default=24, metavar="N")
     p.add_argument("--out", help="output prefix (.json + two Gram CSVs)")
@@ -406,7 +422,7 @@ def build_parser():
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("kernel-norms", help="closed-form vs truncated kernels")
-    p.add_argument("--alpha", type=parse_complex, required=True)
+    p.add_argument("--alpha", type=_alpha, required=True)
     p.add_argument("--lambda", dest="lam", type=_disk_point, required=True)
     p.add_argument("--points", type=_at_least(0), default=10)
     p.add_argument("--degree", type=_at_least(0), default=300)

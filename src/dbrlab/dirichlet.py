@@ -14,22 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hardy
-
-# slack on |location| <= 1 to absorb roundoff in points like e^{i theta}
-DISK_TOL = 1e-12
-
-
-def _json_number(x):
-    """x, a number read from JSON; a bool (a subclass of int) or a string
-    raises TypeError."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise TypeError(f"expected a number, got {x!r}")
-    return x
-
-
-def json_complex(d):
-    """complex(d["re"], d["im"]) for an object read from JSON (`_json_number`)."""
-    return complex(_json_number(d["re"]), _json_number(d["im"]))
+from .symbols import DISK_TOL, _json_number, json_complex
 
 
 @dataclass(frozen=True)

@@ -15,42 +15,16 @@ and the symbol's banded factors of the Gram.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import debranges
 from .dirichlet import GramMatrix
+from .symbols import NSD_TOL, RANK_TOL, Certificate
 
-NSD_TOL = 1e-10
-RANK_TOL = 1e-8
 # a matrix whose sigma_1 is at most this has numerical rank 0
 ZERO_SIGMA = 1e-300
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Outcome of one numerical check: extremal witness against a tolerance."""
-
-    kind: str
-    passed: bool
-    witness: float
-    tolerance: float
-    context: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "passed", bool(self.passed))
-        object.__setattr__(self, "witness", float(self.witness))
-        object.__setattr__(self, "tolerance", float(self.tolerance))
-
-    def to_json_dict(self):
-        return {
-            "kind": self.kind,
-            "pass": self.passed,
-            "witness": self.witness,
-            "tolerance": self.tolerance,
-            "context": self.context,
-        }
 
 
 @dataclass(frozen=True)

@@ -1,61 +1,21 @@
-"""Symbol synthesis for the measure-symbol correspondence.
+"""The one-atom correspondence checked on Grams: the D(mu) Gram of
+mu = |alpha|^2 delta_lam against the H(b) Gram of its synthesized symbol.
 
-For mu = |alpha|^2 delta_lam on the closed disk there is a unique (up to a
-unimodular gauge) Moebius symbol b(z) = A z / (1 - B z) with D(mu) = H(b)
-and equal norms:
-
-    A^2 = (|alpha|^2 / (2|lam|^2)) (S - sqrt(S^2 - 4|lam|^2)),
-            S = 1 + |alpha|^2 + |lam|^2       (lam != 0)
-    A^2 = |alpha|^2 / (1 + |alpha|^2)         (lam == 0)
-    B   = A^2 conj(lam) / |alpha|^2.
-
-The lam = 0 branch is the continuous limit of the general formula and is
-forced by the norm equality (the D(mu) Gram diagonal is 1 + |alpha|^2 from
-degree one on, so A^2/(1 - A^2) = |alpha|^2).
-
-The minus branch is forced: the plus branch gives |B| > 1. A is gauge-fixed
-real nonnegative.
+The symbol constants themselves (`synthesize_symbol`, `SynthesisOutput`) are
+closed-form scalars and live in `symbols`, which has no numpy; this module
+re-exports them.
 """
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .debranges import MoebiusSymbol, hb_gram, pythagorean_mate
-from .dirichlet import DISK_TOL, PointMassMeasure, dmu_gram
-from .operators import Certificate
-
-
-@dataclass(frozen=True)
-class SynthesisOutput:
-    A: float  # gauge-fixed real >= 0
-    B: complex
-
-    def symbol(self):
-        return MoebiusSymbol(c=0, gamma=self.A, beta=self.B)
-
-
-def synthesize_symbol(alpha, lam):
-    """Synthesize the symbol constants for mu = |alpha|^2 delta_lam.
-
-    The lam != 0 branch is evaluated in the fused form
-    2|alpha|^2 / (S + sqrt(S^2 - 4|lam|^2)) to avoid cancellation for
-    small |lam|. alpha = 0 yields the zero symbol (H(b) = H^2).
-    """
-    alpha = complex(alpha)
-    lam = complex(lam)
-    if abs(lam) > 1 + DISK_TOL:
-        raise ValueError(f"|lambda| = {abs(lam)} must be <= 1")
-    aa = abs(alpha) ** 2
-    if aa == 0:
-        return SynthesisOutput(A=0.0, B=0j)
-    ll = abs(lam) ** 2
-    if ll == 0:
-        return SynthesisOutput(A=math.sqrt(aa / (1 + aa)), B=0j)
-    S = 1 + aa + ll
-    A2 = 2 * aa / (S + math.sqrt(S * S - 4 * ll))
-    return SynthesisOutput(A=math.sqrt(A2), B=A2 * np.conj(lam) / aa)
+from .debranges import hb_gram
+from .dirichlet import PointMassMeasure, dmu_gram
+from .symbols import (  # noqa: F401  (SynthesisOutput is re-exported here)
+    Certificate,
+    SynthesisOutput,
+    pythagorean_mate,
+    synthesize_symbol,
+)
 
 
 def point_mass(alpha, lam):

@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 
 from dbrlab import hardy
-from dbrlab.debranges import _s_and_p, validate_symbol
+from dbrlab.symbols import _s_and_p, validate_symbol
 from dbrlab.operators import defect_matrix
 
 
@@ -121,6 +121,27 @@ def symbol_taylor(b, n):
 def mate_taylor(pair, n):
     """First n Taylor coefficients of the mate a(z) = (rho - sigma z)/(1 - beta z)."""
     return moebius_taylor(pair.rho, -pair.sigma, pair.b.beta, n)
+
+
+def unit_circle_deviation_np(pair):
+    """max | |a|^2 + |b|^2 - 1 | over the 64th roots of unity, vectorized in
+    numpy: the form `PythagoreanPair.unit_circle_deviation` had before it ran
+    on Python complex scalars."""
+    om = np.exp(2j * np.pi * np.arange(64) / 64)
+    vals = np.abs(pair.mate_eval(om)) ** 2 + np.abs(pair.b(om)) ** 2
+    return float(np.abs(vals - 1).max())
+
+
+def synthesis_mp(alpha, lam, dps=80):
+    """(A, B) of the one-atom synthesis, as mpmath numbers at dps digits, from
+    the textbook formulas A^2 = 2|alpha|^2 / (S + sqrt(S^2 - 4|lam|^2)),
+    S = 1 + |alpha|^2 + |lam|^2, and B = A^2 conj(lam) / |alpha|^2."""
+    with mpmath.workdps(dps):
+        aa = abs(mpmath.mpc(complex(alpha))) ** 2
+        ll = mpmath.mpc(complex(lam))
+        S = 1 + aa + abs(ll) ** 2
+        A2 = 2 * aa / (S + mpmath.sqrt(S * S - 4 * abs(ll) ** 2))
+        return mpmath.sqrt(A2), A2 * mpmath.conj(ll) / aa
 
 
 def exact_powers(z, n):

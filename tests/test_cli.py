@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dbrlab
-from dbrlab import cli, dirichlet, synthesis
+from dbrlab import cli, debranges, dirichlet, synthesis
 from dbrlab.cli import gram_from_csv_text, gram_to_csv_text, main, parse_complex
 from dbrlab.debranges import MoebiusSymbol
 from dbrlab.dirichlet import PointMassMeasure, dmu_gram, moment_matrix
@@ -38,6 +38,45 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_scalar_commands_load_no_numpy(tmp_path):
+    # synthesize and mate are closed-form scalars on `dbrlab.symbols`; the
+    # numpy import would be most of each call's start-up time
+    env = dict(os.environ, PYTHONPATH=str(Path(dbrlab.__file__).parents[1]))
+    for argv in (
+        ["synthesize", "--alpha", "1", "--lambda", "0.5", "--out", str(tmp_path / "b.json")],
+        ["mate", "--symbol", str(tmp_path / "b.json")],
+    ):
+        out = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "dbrlab.cli", *argv],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()]
+        assert "dbrlab.symbols" in imported
+        assert [m for m in imported if m.split(".")[0] == "numpy"] == []
+
+
+def test_package_import_loads_no_numpy():
+    env = dict(os.environ, PYTHONPATH=str(Path(dbrlab.__file__).parents[1]))
+    code = "import sys, dbrlab; print([m for m in sys.modules if m.split('.')[0] == 'numpy'])"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", dbrlab.__all__)
+def test_public_name_resolves(name):
+    namespace = {}
+    exec(f"from dbrlab import {name}", namespace)
+    assert namespace[name] is getattr(dbrlab, name) is not None
+
+
+def test_public_names_are_the_37_of_the_api():
+    assert len(set(dbrlab.__all__)) == 37
+    with pytest.raises(AttributeError):
+        dbrlab.no_such_name
 
 
 def test_recover_loads_no_numpy_random(tmp_path):
@@ -153,6 +192,12 @@ BAD_FILES = {
         ["verify-equality", "--measure", "{bool_atom}"],
         ["mate", "--symbol", "{bool_symbol}"],
         ["certify", "--measure", "{long_weight}"],
+        # |alpha|^2 beyond the float range
+        ["synthesize", "--alpha", "1.35e154", "--lambda", "0.5"],
+        ["synthesize", "--alpha", "1e200", "--lambda", "0.5"],
+        ["synthesize", "--alpha", "1e308+1e308i", "--lambda", "0.5"],
+        ["verify-equality", "--alpha", "1e200", "--lambda", "0.5"],
+        ["kernel-norms", "--alpha", "-1e200i", "--lambda", "0.5"],
     ],
 )
 def test_out_of_range_input_exits_2(tmp_path, capsys, argv):
@@ -316,7 +361,8 @@ class TestVerifyEquality:
             def counted(*args, name=name, real=real):
                 calls[name] += 1
                 return real(*args)
-            for mod in (cli, synthesis):
+            # the command imports each builder from its module when it runs
+            for mod in (dirichlet, debranges, synthesis):
                 monkeypatch.setattr(mod, name, counted, raising=False)
         prefix = tmp_path / "eq"
         args = ["verify-equality", "--alpha", "1", "--lambda", "0.5", "--size", "24"]

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import mpmath
 import numpy as np
@@ -18,12 +19,14 @@ from dbrlab.debranges import (
     validate_symbol,
 )
 from dbrlab.dirichlet import dmu_gram, PointMassMeasure, truncated_cauchy_kernel
+from dbrlab.synthesis import synthesized_pair
 
 from oracles import (
     coanalytic_toeplitz_apply,
     fplus_loop,
     mate_taylor,
     symbol_taylor,
+    unit_circle_deviation_np,
     validate_gram,
 )
 from test_hardy import sparse_poly
@@ -119,6 +122,27 @@ class TestPythagoreanMate:
             p = abs(be + mpmath.conj(c) * g) ** 2
             rho = mpmath.sqrt((s + mpmath.sqrt(s * s - 4 * p)) / 2)
             assert pythagorean_mate(b).rho == pytest.approx(float(rho), rel=1e-13)
+
+
+def test_unit_circle_deviation_matches_numpy():
+    # the scalar loop on cmath samples replaced a numpy evaluation of the same
+    # 64 roots of unity; the two differ only in the roundoff of each sample,
+    # which grows like 1 / |1 - beta z|, so the general symbols keep |beta| < 0.7
+    rng = np.random.default_rng(25)
+    pairs = [
+        synthesized_pair(alpha, r * np.exp(1j * t))
+        for alpha in (0.3, 1, 1.5 - 0.5j, 4)
+        for r in (0, 0.5, 0.99, 1)
+        for t in (0.0, 1.0, 2.5)
+    ]
+    while len(pairs) < 96:
+        c, gamma, beta = 0.5 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        if abs(beta) < 0.7:
+            b = valid_symbol(c, gamma, beta, rng.uniform(0.3, 0.999))
+            pairs.append(pythagorean_mate(b))
+    for pair in pairs:
+        got = pair.unit_circle_deviation()
+        assert abs(got - unit_circle_deviation_np(pair)) <= 4 * sys.float_info.epsilon, pair
 
 
 class TestFplus:

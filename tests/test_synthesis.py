@@ -1,3 +1,7 @@
+import cmath
+import sys
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +17,7 @@ from dbrlab.synthesis import (
     verify_norm_equality,
 )
 
-from oracles import classify_symbol, corollary_params
+from oracles import classify_symbol, corollary_params, synthesis_mp
 
 
 class TestSynthesizeSymbol:
@@ -70,6 +74,34 @@ class TestSynthesizeSymbol:
         assert out.B == pytest.approx(out.A**2 * np.conj(lam) / 0.64, abs=1e-14)
         # symbol constructs cleanly (valid, nonextreme)
         assert out.symbol().flags().nonextreme
+
+
+# |alpha| from where |alpha|^2 is still a normal float to where it nearly
+# overflows; lambda at the origin, inside, near the circle and on it
+ORACLE_ALPHAS = [1e-150, 1e-12, 1e-8, 3e-5, 0.5, 1, 2.5 - 1.5j, 3e3, 1.2e77, 1e154, 1.3e154]
+ORACLE_LAMBDAS = [
+    0, 0.5, 0.3 + 0.4j, -0.6j, 1 - 1e-8, (1 - 1e-12) * cmath.exp(1j), (1 - 1e-2) * cmath.exp(-2j),
+    1, -1j, cmath.exp(2.5j), 1 + 1e-13,
+]
+
+
+@pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+def test_synthesis_matches_mpmath(alpha):
+    # the textbook sqrt(S^2 - 4|lam|^2) cancelled to 8e7 eps near the circle
+    # for small alpha, and S^2 overflowed from |alpha| = 1.2e77 on
+    eps = sys.float_info.epsilon
+    for lam in ORACLE_LAMBDAS:
+        out = synthesize_symbol(alpha, lam)
+        A, B = synthesis_mp(alpha, lam)
+        with mpmath.workdps(80):
+            assert abs(out.A - A) <= 4 * eps * A, (alpha, lam)
+            assert abs(out.B - B) <= 4 * eps * abs(B), (alpha, lam)
+
+
+def test_synthesis_beyond_float_weight_raises():
+    for alpha in (1.35e154, 1e200, 1e308 + 1e308j):
+        with pytest.raises(ValueError, match="float range"):
+            synthesize_symbol(alpha, 0.5)
 
 
 class TestVerifyNormEquality:
