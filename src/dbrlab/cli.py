@@ -8,8 +8,10 @@ Subcommands
     recover          atomic measure from a moment matrix
     kernel-norms     closed-form vs truncated Cauchy-kernel norms
 
-All JSON output is deterministic (sorted keys, shortest round-trip
-floats); exit status is 0 exactly when every emitted certificate passes.
+Each command parses its arguments, makes one library call for its
+certificates and dumps them. All JSON output is deterministic (sorted keys,
+shortest round-trip floats); exit status is 0 exactly when every emitted
+certificate passes.
 
 `mate` and `synthesize` run on the numpy-free `symbols` module alone, so
 this module imports numpy and the numeric modules inside the commands and
@@ -24,25 +26,13 @@ import sys
 from pathlib import Path
 
 from .symbols import (
-    CIRCLE_SAMPLES,
     DISK_TOL,
-    NSD_TOL,
-    RANK_TOL,
-    Certificate,
+    TOLERANCES,
     MoebiusSymbol,
     SymbolError,
     pythagorean_mate,
     synthesize_symbol,
 )
-
-DEFAULT_TOLS = {
-    "mate": 1e-12,
-    "equality": 1e-9,
-    "nsd": NSD_TOL,
-    "moment": 1e-12,
-    "rank": RANK_TOL,
-    "kernel": 1e-8,
-}
 
 
 def parse_complex(s):
@@ -55,10 +45,6 @@ def parse_complex(s):
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise argparse.ArgumentTypeError(f"non-finite complex value {s!r}")
     return z
-
-
-def _complex_json(z):
-    return {"re": z.real, "im": z.imag}
 
 
 def _finite_json(x):
@@ -81,6 +67,12 @@ def _dump(payload, out_path):
         Path(out_path).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _dump_certificates(certs, out_path):
+    """Dump {"certificates": [...]}; the exit status, 0 exactly when all pass."""
+    _dump({"certificates": [c.to_json_dict() for c in certs]}, out_path)
+    return 0 if all(c.passed for c in certs) else 1
 
 
 class InputFileError(Exception):
@@ -126,10 +118,6 @@ def _load_symbol(path):
     return _read_input(path, lambda t: MoebiusSymbol.from_json_dict(json.loads(t)))
 
 
-def _tol(args, key):
-    return args.tol_overrides.get(key, DEFAULT_TOLS[key])
-
-
 def gram_to_csv_text(M):
     """Row-major CSV dump with 're,im' cell pairs."""
     import numpy as np
@@ -158,23 +146,12 @@ def gram_from_csv_text(text):
 
 def cmd_mate(args):
     try:
-        b = _load_symbol(args.symbol)
-        pair = pythagorean_mate(b)
+        pair = pythagorean_mate(_load_symbol(args.symbol))
     except SymbolError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    tol = _tol(args, "mate")
-    dev = pair.unit_circle_deviation()
-    cert = Certificate(
-        kind="unit-circle-sum",
-        passed=dev <= tol,
-        witness=dev,
-        tolerance=tol,
-        context={"samples": CIRCLE_SAMPLES},
-    )
-    payload = pair.to_json_dict()
-    payload["certificate"] = cert.to_json_dict()
-    _dump(payload, args.out)
+    cert = pair.circle_certificate(args.tols["mate"])
+    _dump({**pair.to_json_dict(), "certificate": cert.to_json_dict()}, args.out)
     return 0 if cert.passed else 1
 
 
@@ -208,48 +185,16 @@ def cmd_verify_equality(args):
     if prefix:
         prefix.with_suffix(".dmu.csv").write_text(gram_to_csv_text(G))
         prefix.with_suffix(".hb.csv").write_text(gram_to_csv_text(G_b))
-    cert = equality_certificate(alpha, lam, G, G_b, _tol(args, "equality"))
+    cert = equality_certificate(alpha, lam, G, G_b, args.tols["equality"])
     _dump(cert.to_json_dict(), prefix and prefix.with_suffix(".json"))
     return 0 if cert.passed else 1
 
 
 def cmd_certify(args):
-    import numpy as np
-
-    from .dirichlet import moment_matrix
-    from .operators import certify_nsd, defect_matrix, hyperexpansive_form, numerical_rank
+    from .moments import certify_measure
 
     mu, G = _measure_gram(args.measure, args.size)
-    nsd_tol = _tol(args, "nsd")
-    certs = [
-        certify_nsd(hyperexpansive_form(G, n), tol=nsd_tol, order=n)
-        for n in range(1, args.n_max + 1)
-    ]
-    D = defect_matrix(G)
-    M = moment_matrix(mu, args.size - 1)
-    dev = float(np.abs(np.asarray(D) - M).max())
-    moment_tol = _tol(args, "moment")
-    certs.append(
-        Certificate(
-            kind="moment-identity",
-            passed=dev <= moment_tol,
-            witness=dev,
-            tolerance=moment_tol,
-            context={"N": args.size},
-        )
-    )
-    rank = numerical_rank(D, _tol(args, "rank"))
-    certs.append(
-        Certificate(
-            kind="defect-rank",
-            passed=rank == len(mu),
-            witness=float(rank),
-            tolerance=float(len(mu)),
-            context={"atoms": len(mu), "route": "factor"},
-        )
-    )
-    _dump({"certificates": [c.to_json_dict() for c in certs]}, args.out)
-    return 0 if all(c.passed for c in certs) else 1
+    return _dump_certificates(certify_measure(mu, G, args.n_max, args.tols), args.out)
 
 
 def cmd_recover(args):
@@ -264,7 +209,7 @@ def cmd_recover(args):
         # the N x N moment matrix is the defect of the Gram of size N + 1
         M = defect_matrix(_measure_gram(args.measure, args.size + 1)[1])
     try:
-        result = recover_atoms(M, k=args.atoms, rank_tol=_tol(args, "rank"))
+        result = recover_atoms(M, k=args.atoms, rank_tol=args.tols["rank"])
     except RecoveryError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -273,36 +218,12 @@ def cmd_recover(args):
 
 
 def cmd_kernel_norms(args):
-    import numpy as np
+    from .synthesis import kernel_norm_certificates
 
-    from .debranges import hb_cauchy_norm, hb_inner
-    from .dirichlet import dmu_cauchy_norm, dmu_inner, truncated_cauchy_kernel
-    from .hardy import h2_inner
-    from .synthesis import point_mass, synthesized_pair
-
-    pair = synthesized_pair(args.alpha, args.lam)
-    mu = point_mass(args.alpha, args.lam)
-    rng = np.random.default_rng(args.seed)
-    tol = _tol(args, "kernel")
-    certs = []
-    for _ in range(args.points):
-        w = args.radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        k = truncated_cauchy_kernel(w, args.degree)
-        direct_dmu = float(np.real(dmu_inner(k, k, mu) - h2_inner(k, k)))
-        closed_dmu = dmu_cauchy_norm(args.alpha, args.lam, w)
-        rel_dmu = abs(direct_dmu - closed_dmu) / closed_dmu if closed_dmu else 0.0
-        direct_hb = float(np.real(hb_inner(k, k, pair)))
-        closed_hb = hb_cauchy_norm(pair, w)
-        rel_hb = abs(direct_hb - closed_hb) / closed_hb
-        context = {"w": _complex_json(complex(w)), "degree": args.degree}
-        certs.append(
-            Certificate("dmu-kernel-norm", rel_dmu <= tol, rel_dmu, tol, context)
-        )
-        certs.append(
-            Certificate("hb-kernel-norm", rel_hb <= tol, rel_hb, tol, context)
-        )
-    _dump({"certificates": [c.to_json_dict() for c in certs]}, args.out)
-    return 0 if all(c.passed for c in certs) else 1
+    certs = kernel_norm_certificates(
+        args.alpha, args.lam, args.points, args.degree, args.radius, args.seed, args.tols["kernel"]
+    )
+    return _dump_certificates(certs, args.out)
 
 
 def _at_least(lo):
@@ -354,11 +275,12 @@ def _disk_point(s):
 
 
 def _parse_tols(pairs):
-    """KEY=VALUE overrides: a known key, a finite value >= 0; rank in (0, 1)."""
-    out = {}
+    """`TOLERANCES` with the KEY=VALUE overrides merged in: a known key, a
+    finite value >= 0; rank in (0, 1)."""
+    out = dict(TOLERANCES)
     for item in pairs or []:
         key, _, value = item.partition("=")
-        if key not in DEFAULT_TOLS:
+        if key not in TOLERANCES:
             raise argparse.ArgumentTypeError(f"unknown tolerance key {key!r}")
         try:
             tol = float(value)
@@ -381,7 +303,7 @@ def build_parser():
         action="append",
         metavar="KEY=VALUE",
         dest="tols",
-        help=f"override a tolerance; keys: {', '.join(sorted(DEFAULT_TOLS))}",
+        help=f"override a tolerance; keys: {', '.join(sorted(TOLERANCES))}",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -457,7 +379,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     try:
-        args.tol_overrides = _parse_tols(args.tols)
+        args.tols = _parse_tols(args.tols)
     except argparse.ArgumentTypeError as e:
         parser.error(str(e))
     if args.command == "certify" and args.n_max > args.size - 1:

@@ -1,4 +1,5 @@
-"""Recovery of an atomic measure from its moment / defect matrix.
+"""Recovery of an atomic measure from its moment / defect matrix, and the
+`certify` certificates of a measure on its Gram.
 
 The moment matrix M[n][m] = sum_i w_i z_i^n conj(z_i)^m has Vandermonde
 column space, so the atoms are recovered from the shift-invariance of that
@@ -12,15 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hardy
-from .dirichlet import PointMassMeasure, dmu_gram
+from .dirichlet import PointMassMeasure, dmu_gram, moment_matrix
 from .operators import (
-    RANK_TOL,
     Certificate,
     FactoredForm,
     _core,
     _count_above,
+    certify_nsd,
     defect_matrix,
+    hyperexpansive_form,
+    numerical_rank,
 )
+from .symbols import TOLERANCES
 
 # atoms may stick out of the disk by at most this much before recovery fails;
 # smaller excursions are clamped radially to the circle
@@ -45,7 +49,7 @@ class RecoveryResult:
         return d
 
 
-def recover_atoms(M, k=None, rank_tol=RANK_TOL):
+def recover_atoms(M, k=None, rank_tol=TOLERANCES["rank"]):
     """Invert the moment map: locations via shift invariance, weights via least squares.
 
     M is a FactoredForm Y diag(c) Y^H, as `defect_matrix` gives for a
@@ -195,3 +199,23 @@ def roundtrip_check(mu, n, tol=1e-8):
             "condition": result.condition,
         },
     )
+
+
+def certify_measure(mu, G, n_max, tols=TOLERANCES):
+    """The certificates of mu on its D(mu) Gram G = dmu_gram(mu, N): `nsd` of
+    the forms of orders 1..n_max, then `moment-identity`, max|D - M| of the
+    defect D against the moment matrix M of mu (context["N"] is N), then
+    `defect-rank`, the numerical rank of D against the atom count. tols
+    holds the "nsd", "moment" and "rank" tolerances (`TOLERANCES`)."""
+    N = G.generators.shape[1]
+    certs = [
+        certify_nsd(hyperexpansive_form(G, n), tol=tols["nsd"], order=n)
+        for n in range(1, n_max + 1)
+    ]
+    D = defect_matrix(G)
+    dev = float(np.abs(np.asarray(D) - moment_matrix(mu, N - 1)).max())
+    certs.append(Certificate("moment-identity", dev <= tols["moment"], dev, tols["moment"], {"N": N}))
+    rank = numerical_rank(D, tols["rank"])
+    context = {"atoms": len(mu), "route": "factor"}
+    certs.append(Certificate("defect-rank", rank == len(mu), rank, len(mu), context))
+    return certs

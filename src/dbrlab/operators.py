@@ -21,7 +21,7 @@ import numpy as np
 
 from . import debranges
 from .dirichlet import GramMatrix
-from .symbols import NSD_TOL, RANK_TOL, Certificate
+from .symbols import TOLERANCES, Certificate
 
 # a matrix whose sigma_1 is at most this has numerical rank 0
 ZERO_SIGMA = 1e-300
@@ -138,7 +138,7 @@ def _core(F):
     return Q, (R * F.weights) @ R.conj().T
 
 
-def certify_nsd(B, tol=NSD_TOL, order=None):
+def certify_nsd(B, tol=TOLERANCES["nsd"], order=None):
     """Certify a Hermitian form negative semidefinite: its top eigenvalue is <= tol.
 
     A FactoredForm F = Q S Q^H (`_core`) is decided on route "factor" from
@@ -190,7 +190,7 @@ def _count_above(s, tau):
     return 0 if top <= ZERO_SIGMA else int(np.count_nonzero(s > tau * top))
 
 
-def numerical_rank(M, tau=RANK_TOL):
+def numerical_rank(M, tau=TOLERANCES["rank"]):
     """Number of singular values above tau * sigma_1; 0 for the zero matrix.
 
     A FactoredForm is Hermitian: its singular values are the |eigenvalues|

@@ -31,8 +31,15 @@ from dataclasses import dataclass, field
 
 # slack on |location| <= 1 to absorb roundoff in points like e^{i theta}
 DISK_TOL = 1e-12
-NSD_TOL = 1e-10
-RANK_TOL = 1e-8
+# the default tolerance of each certificate kind, by its `--tol` key
+TOLERANCES = {
+    "mate": 1e-12,  # unit-circle-sum, absolute
+    "equality": 1e-9,  # norm-equality, relative to max|G_dmu|
+    "nsd": 1e-10,  # top eigenvalue of a form, absolute
+    "moment": 1e-12,  # moment-identity, absolute
+    "rank": 1e-8,  # numerical rank, relative to the largest singular value
+    "kernel": 1e-8,  # Cauchy-kernel norms, relative
+}
 # tolerance for the exact coefficient feasibility / innerness classification
 CLASS_TOL = 1e-12
 CIRCLE_SAMPLES = 64
@@ -179,6 +186,11 @@ class PythagoreanPair:
             z = cmath.exp(2j * math.pi * k / CIRCLE_SAMPLES)
             worst = max(worst, abs(abs(self.mate_eval(z)) ** 2 + abs(self.b(z)) ** 2 - 1))
         return worst
+
+    def circle_certificate(self, tol=TOLERANCES["mate"]):
+        """The `unit-circle-sum` certificate: `unit_circle_deviation` <= tol."""
+        dev = self.unit_circle_deviation()
+        return Certificate("unit-circle-sum", dev <= tol, dev, tol, {"samples": CIRCLE_SAMPLES})
 
     def to_json_dict(self):
         return {

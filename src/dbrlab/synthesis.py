@@ -1,19 +1,24 @@
-"""The one-atom correspondence checked on Grams: the D(mu) Gram of
-mu = |alpha|^2 delta_lam against the H(b) Gram of its synthesized symbol.
+"""The one-atom correspondence checked on Grams and on Cauchy kernels: the
+D(mu) Gram of mu = |alpha|^2 delta_lam against the H(b) Gram of its
+synthesized symbol, and each space's kernel norms against their closed forms.
 
 The symbol constants themselves (`synthesize_symbol`, `SynthesisOutput`) are
 closed-form scalars and live in `symbols`, which has no numpy; this module
 re-exports them.
 """
 
+import math
+
 import numpy as np
 
-from .debranges import hb_gram
-from .dirichlet import PointMassMeasure, dmu_gram
+from .debranges import hb_cauchy_norm, hb_gram, hb_inner
+from .dirichlet import PointMassMeasure, dmu_cauchy_norm, dmu_gram, dmu_inner, truncated_cauchy_kernel
+from .hardy import h2_inner
 from .symbols import (  # noqa: F401  (SynthesisOutput is re-exported here)
+    TOLERANCES,
     Certificate,
+    PythagoreanPair,
     SynthesisOutput,
-    pythagorean_mate,
     synthesize_symbol,
 )
 
@@ -26,8 +31,20 @@ def point_mass(alpha, lam):
 
 
 def synthesized_pair(alpha, lam):
-    """Symbol plus Pythagorean mate for mu = |alpha|^2 delta_lam."""
-    return pythagorean_mate(synthesize_symbol(alpha, lam).symbol())
+    """Symbol plus Pythagorean mate for mu = |alpha|^2 delta_lam, in closed form:
+    the z coefficient of |a|^2 + |b|^2 = 1 on the circle gives rho sigma = B =
+    conj(lam) / h, and rho^2 = 1 / h (`synthesize_symbol`), so rho = A / |alpha|
+    and sigma = conj(lam) rho. The mate of the rounded symbol would take
+    s = 1 + |B|^2 - A^2, of order 1 / |alpha|^2, which cancels. alpha = 0 gives
+    b = 0 with a = 1."""
+    alpha = complex(alpha)
+    out = synthesize_symbol(alpha, lam)
+    # the |alpha| that A was computed from, so that its rounding cancels
+    a = math.hypot(alpha.real, alpha.imag)
+    if not a:
+        return PythagoreanPair(out.symbol(), 1.0, 0j)
+    rho = out.A / a
+    return PythagoreanPair(out.symbol(), rho, complex(lam).conjugate() * rho)
 
 
 def equality_certificate(alpha, lam, G, G_b, tol):
@@ -57,7 +74,7 @@ def equality_certificate(alpha, lam, G, G_b, tol):
     )
 
 
-def verify_norm_equality(alpha, lam, n, tol=1e-9):
+def verify_norm_equality(alpha, lam, n, tol=TOLERANCES["equality"]):
     """Compare the D(mu) and H(b) monomial Grams on their generator rows: the
     witness bounds their largest entry deviation (`equality_certificate`). tol
     is relative: the witness is compared with tol * max|G_dmu| (>= 1, the H^2
@@ -68,3 +85,26 @@ def verify_norm_equality(alpha, lam, n, tol=1e-9):
     G, G_b = dmu_gram(point_mass(alpha, lam), n), hb_gram(synthesized_pair(alpha, lam), n)
     return equality_certificate(alpha, lam, G, G_b, tol)
 
+
+def kernel_norm_certificates(alpha, lam, points, degree, radius, seed, tol=TOLERANCES["kernel"]):
+    """`dmu-kernel-norm` and `hb-kernel-norm` at `points` points w, uniform on the
+    disk of the given radius (numpy generator of the given seed): the squared
+    norm of the Cauchy kernel k_w truncated at `degree`, in D(mu) less its H^2
+    part and in H(b) of the synthesized pair, against its closed form; the
+    witness is the relative deviation."""
+    pair, mu = synthesized_pair(alpha, lam), point_mass(alpha, lam)
+    rng = np.random.default_rng(seed)
+    certs = []
+    for _ in range(points):
+        w = radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+        k = truncated_cauchy_kernel(w, degree)
+        direct_dmu = float(np.real(dmu_inner(k, k, mu) - h2_inner(k, k)))
+        closed_dmu = dmu_cauchy_norm(alpha, lam, w)
+        rel_dmu = abs(direct_dmu - closed_dmu) / closed_dmu if closed_dmu else 0.0
+        direct_hb = float(np.real(hb_inner(k, k, pair)))
+        closed_hb = hb_cauchy_norm(pair, w)
+        rel_hb = abs(direct_hb - closed_hb) / closed_hb
+        context = {"w": {"re": float(w.real), "im": float(w.imag)}, "degree": degree}
+        certs.append(Certificate("dmu-kernel-norm", rel_dmu <= tol, rel_dmu, tol, context))
+        certs.append(Certificate("hb-kernel-norm", rel_hb <= tol, rel_hb, tol, context))
+    return certs

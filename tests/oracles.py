@@ -144,6 +144,21 @@ def synthesis_mp(alpha, lam, dps=80):
         return mpmath.sqrt(A2), A2 * mpmath.conj(ll) / aa
 
 
+def synthesized_mate_mp(alpha, lam, dps=400):
+    """(rho, sigma) of the one-atom synthesized pair as mpmath numbers at dps
+    digits: the Pythagorean mate of the exact symbol A z / (1 - B z) of
+    `synthesis_mp`, rho^2 the larger root of t^2 - s t + |B|^2 with
+    s = 1 + |B|^2 - A^2, and sigma = B / rho. s is of order 1 / |alpha|^2, so
+    dps must exceed the 2 log10 |alpha| digits that it cancels."""
+    with mpmath.workdps(dps):
+        A, B = synthesis_mp(alpha, lam, dps)
+        if A == 0:
+            return mpmath.mpf(1), mpmath.mpc(0)
+        s, p = 1 + abs(B) ** 2 - A**2, abs(B) ** 2
+        rho = mpmath.sqrt((s + mpmath.sqrt(max(s * s - 4 * p, 0))) / 2)
+        return rho, B / rho
+
+
 def exact_powers(z, n):
     """z^0 .. z^(n-1) of the double z, each rounded once from 40-digit mpmath."""
     out = np.empty(n, dtype=complex)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -13,9 +14,21 @@ from dbrlab.cli import gram_from_csv_text, gram_to_csv_text, main, parse_complex
 from dbrlab.debranges import MoebiusSymbol
 from dbrlab.dirichlet import PointMassMeasure, dmu_gram, moment_matrix
 from dbrlab.debranges import hb_gram
-from dbrlab.moments import recover_atoms
-from dbrlab.operators import defect_matrix
-from dbrlab.synthesis import point_mass, synthesized_pair
+from dbrlab.moments import certify_measure, recover_atoms
+from dbrlab.operators import certify_nsd, defect_matrix, numerical_rank
+from dbrlab.symbols import (
+    CIRCLE_SAMPLES,
+    TOLERANCES,
+    PythagoreanPair,
+    pythagorean_mate,
+    synthesize_symbol,
+)
+from dbrlab.synthesis import (
+    kernel_norm_certificates,
+    point_mass,
+    synthesized_pair,
+    verify_norm_equality,
+)
 
 
 def write_measure(tmp_path, mu, name="mu.json"):
@@ -475,7 +488,7 @@ class TestCertify:
         # roundoff of the Gram's cumulative sums that failed the identity here
         # (4.0e-11 and 6.8e143 against 1e-12). The forms are NSD: the nsd FAIL
         # at order 5 of w = 1000 is roundoff of its core against the absolute
-        # NSD_TOL. Dense Cholesky also failed order 4 of w = 1000 and orders
+        # `nsd` tolerance. Dense Cholesky also failed order 4 of w = 1000 and orders
         # 1-2 of the single interior atom, whose rank-1 forms have on the
         # factor the exact top eigenvalue 0 of the complement
         path = write_measure(tmp_path, PointMassMeasure(atoms=atoms))
@@ -489,7 +502,7 @@ class TestCertify:
     def test_unimodular_heavy_atom_still_fails(self, tmp_path, capsys):
         # one atom at 0.6+0.8i of weight 1e160: the order-2 form is ~0 and
         # the defect equals the moments, but roundoff at scale 1e160 exceeds
-        # the absolute NSD_TOL and moment tolerances (ROADMAP item 1)
+        # the absolute `nsd` and `moment` tolerances (ROADMAP item 1)
         path = write_measure(tmp_path, PointMassMeasure.single(0.6 + 0.8j, 1e160))
         assert main(["certify", "--measure", path, "--size", "16", "--n-max", "2"]) == 1
         certs = json.loads(capsys.readouterr().out)["certificates"]
@@ -634,7 +647,124 @@ class TestKernelNorms:
         assert code == 1
 
 
+def dumped(capsys, certs):
+    """What `dbrlab certify` or `kernel-norms` prints for these certificates."""
+    cli._dump({"certificates": [c.to_json_dict() for c in certs]}, None)
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n_max", [0, 5])
+@pytest.mark.parametrize("N", [16, 512])
+@pytest.mark.parametrize(
+    "atoms",
+    # the CI's heavy.json, and the one-atom measure whose nsd and
+    # moment-identity certificates FAIL at scale 1e160 (ROADMAP item 1)
+    [((0.6 + 0.8j, 50.0), (0.3 + 0.1j, 0.5)), ((0.6 + 0.8j, 1e160),)],
+    ids=["heavy", "unimodular-1e160"],
+)
+def test_certify_prints_certify_measure(tmp_path, capsys, atoms, N, n_max):
+    mu = PointMassMeasure(atoms=atoms)
+    argv = ["certify", "--measure", write_measure(tmp_path, mu), "--size", str(N)]
+    code = main(argv + ["--n-max", str(n_max)])
+    out = capsys.readouterr().out
+    certs = certify_measure(mu, dmu_gram(mu, N), n_max, TOLERANCES)
+    assert out == dumped(capsys, certs)
+    assert code == (0 if all(c.passed for c in certs) else 1)
+    assert [c.kind for c in certs] == ["nsd"] * n_max + ["moment-identity", "defect-rank"]
+    assert [c.context["order"] for c in certs[:-2]] == list(range(1, n_max + 1))
+    assert certs[-2].context == {"N": N}
+    assert certs[-1].context == {"atoms": len(mu), "route": "factor"}
+
+
+def test_certify_applies_each_tol_override(tmp_path, capsys):
+    # the heavy measure's defect at size 64 has singular values 3150 and 0.54, so a
+    # rank tolerance of 0.5 counts one atom of two
+    mu = PointMassMeasure(atoms=((0.6 + 0.8j, 50.0), (0.3 + 0.1j, 0.5)))
+    tols = ["--tol", "nsd=1e-30", "--tol", "moment=0", "--tol", "rank=0.5"]
+    argv = ["certify", "--measure", write_measure(tmp_path, mu), "--size", "64", "--n-max", "2"]
+    assert main(tols + argv) == 1
+    certs = json.loads(capsys.readouterr().out)["certificates"]
+    assert [c["tolerance"] for c in certs[:3]] == [1e-30, 1e-30, 0.0]
+    assert certs[-1]["witness"] == 1.0 and not certs[-1]["pass"]
+
+
+@pytest.mark.parametrize(
+    "argv, args",
+    [
+        (["--points", "10"], (1, 0.5, 10, 300, 0.8, 0)),
+        (["--points", "3", "--degree", "40", "--radius", "0.5", "--seed", "7"], (1, 0.5, 3, 40, 0.5, 7)),
+        # the mate re-derived from the rounded symbol raised SymbolError here
+        (["--alpha", "1e7", "--points", "3"], (1e7, 0.5, 3, 300, 0.8, 0)),
+        (["--alpha", "1e100", "--points", "3"], (1e100, 0.5, 3, 300, 0.8, 0)),
+    ],
+)
+def test_kernel_norms_prints_kernel_norm_certificates(capsys, argv, args):
+    code = main(["kernel-norms", "--alpha", "1", "--lambda", "0.5", *argv])
+    out = capsys.readouterr().out
+    certs = kernel_norm_certificates(*args, TOLERANCES["kernel"])
+    assert out == dumped(capsys, certs)
+    assert code == 0 and all(c.passed for c in certs) and len(certs) == 2 * args[2]
+    for c in certs:
+        w = complex(c.context["w"]["re"], c.context["w"]["im"])
+        assert c.context["degree"] == args[3] and abs(w) <= args[4]
+
+
+@pytest.mark.parametrize("tol", [None, "0"])
+@pytest.mark.parametrize(
+    "b", [synthesize_symbol(1, 0.5).symbol(), MoebiusSymbol(0.3, 0.4 + 0.2j, -0.5j)]
+)
+def test_mate_prints_the_circle_certificate(tmp_path, capsys, b, tol):
+    argv = ["mate", "--symbol", write_symbol(tmp_path, b)]
+    code = main(argv if tol is None else ["--tol", f"mate={tol}", *argv])
+    pair = pythagorean_mate(b)
+    cert = pair.circle_certificate() if tol is None else pair.circle_certificate(float(tol))
+    out = json.loads(capsys.readouterr().out)
+    assert out == {**pair.to_json_dict(), "certificate": cert.to_json_dict()}
+    assert code == (0 if cert.passed else 1) and cert.kind == "unit-circle-sum"
+    assert cert.witness == pair.unit_circle_deviation()
+    assert cert.context == {"samples": CIRCLE_SAMPLES}
+
+
+@pytest.mark.parametrize(
+    "alpha, lam",
+    [("1e3", "0.9"), ("1e3", "1"), ("1e4", "0.5"), ("1e6", "0.5"), ("1e7", "0.5"),
+     ("1e12", "0.5"), ("1e100", "0.5")],
+)
+def test_norm_equality_holds_at_large_alpha(capsys, alpha, lam):
+    # the mate re-derived from the rounded symbol FAILed these true
+    # statements (witness 0.0129 against 0.00522 at alpha 1e3, lambda 0.9;
+    # 1.3e9 against 1333 at 1e6) and raised SymbolError from 1e7 on
+    assert main(["verify-equality", "--alpha", alpha, "--lambda", lam, "--size", "24"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"]
+
+
 class TestTolerances:
+    def test_the_table_holds_the_six_tol_keys(self, capsys):
+        assert sorted(TOLERANCES) == ["equality", "kernel", "mate", "moment", "nsd", "rank"]
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "keys: equality, kernel, mate, moment, nsd, rank" in help_text
+
+    def test_overrides_merge_into_a_copy_of_the_table(self):
+        before = dict(TOLERANCES)
+        assert cli._parse_tols(["nsd=1e-9", "rank=0.5"]) == {**before, "nsd": 1e-9, "rank": 0.5}
+        assert cli._parse_tols(None) == TOLERANCES == before
+
+    @pytest.mark.parametrize(
+        "fn, param, key",
+        [
+            (certify_nsd, "tol", "nsd"),
+            (numerical_rank, "tau", "rank"),
+            (recover_atoms, "rank_tol", "rank"),
+            (verify_norm_equality, "tol", "equality"),
+            (kernel_norm_certificates, "tol", "kernel"),
+            (PythagoreanPair.circle_certificate, "tol", "mate"),
+        ],
+    )
+    def test_library_defaults_read_the_table(self, fn, param, key):
+        assert inspect.signature(fn).parameters[param].default == TOLERANCES[key]
+
     @pytest.mark.parametrize("key", ["recover", "bogus"])
     def test_unknown_key_rejected(self, tmp_path, capsys, key):
         path = write_measure(tmp_path, PointMassMeasure.single(0, 1.0))

@@ -17,7 +17,7 @@ from dbrlab.synthesis import (
     verify_norm_equality,
 )
 
-from oracles import classify_symbol, corollary_params, synthesis_mp
+from oracles import classify_symbol, corollary_params, synthesis_mp, synthesized_mate_mp
 
 
 class TestSynthesizeSymbol:
@@ -96,6 +96,29 @@ def test_synthesis_matches_mpmath(alpha):
         with mpmath.workdps(80):
             assert abs(out.A - A) <= 4 * eps * A, (alpha, lam)
             assert abs(out.B - B) <= 4 * eps * abs(B), (alpha, lam)
+
+
+@pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+def test_synthesized_mate_matches_mpmath(alpha):
+    # rho = A / |alpha| and sigma = conj(lambda) rho, against the mate of the
+    # exact symbol at 400 digits. A errs by <= 4 eps, |alpha| (hypot) by
+    # < 1 ulp and the division and the product by 1/2 ulp: 6 eps
+    eps = sys.float_info.epsilon
+    for lam in ORACLE_LAMBDAS:
+        if abs(lam) > 1 or abs(synthesize_symbol(alpha, lam).B) >= 1:
+            # beyond the circle rho < |sigma|: no outer mate; and for
+            # |alpha| below ~eps on the circle B rounds to the circle: no symbol
+            continue
+        pair = synthesized_pair(alpha, lam)
+        rho, sigma = synthesized_mate_mp(alpha, lam)
+        with mpmath.workdps(400):
+            assert abs(pair.rho - rho) <= 6 * eps * rho, (alpha, lam)
+            assert abs(pair.sigma - sigma) <= 6 * eps * abs(sigma), (alpha, lam)
+
+
+def test_synthesized_mate_of_zero_alpha():
+    pair = synthesized_pair(0, 0.5)
+    assert (pair.rho, pair.sigma, pair.b.gamma) == (1.0, 0j, 0j)
 
 
 def test_synthesis_beyond_float_weight_raises():
