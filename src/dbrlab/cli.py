@@ -386,7 +386,9 @@ def main(argv=None):
         parser.error(f"--n-max {args.n_max} exceeds --size - 1 = {args.size - 1}")
     try:
         return args.func(args)
-    except InputFileError as e:
+    except (InputFileError, SymbolError) as e:
+        # a SymbolError here is an (alpha, lambda) whose symbol no double holds;
+        # `mate` reports an invalid symbol file itself, as a failed check
         parser.error(str(e))
 
 

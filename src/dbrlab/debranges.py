@@ -7,7 +7,10 @@ product of polynomials decomposes as
 
     <f, g>_b = <f, g>_{H^2} + <f+, g+>_{H^2}
 
-where f+ is the unique polynomial with T_conj(a) f+ = T_conj(b) f.
+where f+ is the unique polynomial with T_conj(a) f+ = T_conj(b) f. Both
+Toeplitz operators are polynomials in the backward shift J, so their common
+factor (1 - conj(beta) J)^-1 cancels and f+ is one first-order recurrence in
+J, run as a doubling scan of ceil(log2 n) array steps (`fplus`).
 """
 
 import numpy as np
@@ -28,32 +31,54 @@ from .symbols import (  # noqa: F401  (the symbol names are re-exported here)
 def fplus(f, pair):
     """Exact polynomial solution of T_conj(a) f+ = T_conj(b) f.
 
-    Both Toeplitz operators are upper triangular on coefficients with
-    geometric symbol tails, so the right-hand side and the
-    back-substitution from the top degree down take linear time. The
-    diagonal of the system is a(0) = rho > 0. The recurrence runs on Python
-    complex scalars, which cost a fraction of numpy scalars per operation,
-    and divides by rho as a product with 1 / rho, as numpy's complex by
-    real division does.
+    With (J f)_i = f_(i+1), T_conj(b) = (conj(c) + conj(gamma) J)(1 - conj(beta) J)^-1
+    and T_conj(a) = (rho - conj(sigma) J)(1 - conj(beta) J)^-1 are polynomials
+    in the nilpotent J, so they commute and their (1 - conj(beta) J)^-1
+    factors cancel: f+ = (conj(c) + conj(gamma) J) y for
+    y = (rho - conj(sigma) J)^-1 f, the first-order recurrence
+    y_i = f_i / rho + r y_(i+1), r = conj(sigma) / rho, |r| <= 1.
+
+    On the reversed array w, which starts as f reversed over rho, that
+    recurrence is a prefix scan, run as a Hillis-Steele doubling: the step
+    w[s:] += p w[:-s] with p = r^s, then p <- p^2 and s <- 2s, leaves each
+    w_m summing its terms up to 2s - 1 places back, so L = ceil(log2 n)
+    steps give y reversed. r is one correctly rounded Python division per
+    part, so for the synthesized pair at lambda = +-1 or +-i, where
+    sigma = conj(lambda) rho, r = lambda is exact and so is each p; numpy
+    divides f by rho as a product with 1 / rho.
+
+    Forward error, to first order in eps (complex product sqrt(2) eps,
+    complex sum and product with a real eps / 2 each, Higham 2002 sec. 3.6):
+    the term r^j f_(i+j) / rho of y_i is multiplied by the p of each set
+    bit of j, and p = r^(2^k) by k squarings of the rounded r, which
+    doubles the relative error each time, so p carries at most
+    2^k (1 + sqrt(2)) eps; summed over the bits of j <= n - 1 that is
+    (1 + sqrt(2)) (n - 1) eps, plus sqrt(2) eps for each of at most L
+    products, eps / 2 for each of at most L additions it goes through, and
+    eps for f_(i+j) / rho. So with S_i = sum_j |r|^j |f_(i+j)| / rho,
+
+        |y_i - fl(y_i)| <= ((1 + sqrt(2)) (n - 1) + (sqrt(2) + 1/2) L + 1) eps S_i,
+
+    and x_i = conj(c) y_i + conj(gamma) y_(i+1) adds two products and a
+    sum, (sqrt(2) + 1/2) eps (|c| S_i + |gamma| S_(i+1)). Products that
+    underflow add an absolute error on top, at most
+    ((|c| + |gamma|) 3 n (2 + L max_i S_i) + 4) 2^-1074.
     """
     f = hardy.normalize(f)
-    if len(f) == 0:
+    n = len(f)
+    if n == 0:
         return f
-    b = pair.b
-    bc = b.c.conjugate()
-    btop = (b.c * b.beta + b.gamma).conjugate()
-    atop = (pair.rho * b.beta - pair.sigma).conjugate()
-    bb = b.beta.conjugate()
-    inv = 1.0 / pair.rho
-    x = []
-    t = 0j  # running tail sum_{j>i} conj(beta)^(j-i-1) f_j
-    s = 0j  # same tail for the solution coefficients
-    for f_i in reversed(f.tolist()):
-        x_i = (bc * f_i + btop * t - atop * s) * inv
-        x.append(x_i)
-        t = f_i + bb * t
-        s = x_i + bb * s
-    return hardy.normalize(np.array(x[::-1], dtype=complex))
+    p = pair.sigma.conjugate() / pair.rho
+    w = f[::-1] / pair.rho
+    s = 1
+    while s < n and p:  # p = 0 (sigma = 0, or r^s underflowed) adds nothing
+        w[s:] += p * w[:-s]
+        p *= p
+        s *= 2
+    y = w[::-1]
+    x = pair.b.c.conjugate() * y
+    x[:-1] += pair.b.gamma.conjugate() * y[1:]
+    return hardy.normalize(x)
 
 
 def hb_inner(f, g, pair):

@@ -264,7 +264,8 @@ def _pencil_top(pair, d):
     K[i-1, i] = c conj(gamma) - rho conj(sigma). Then theta = y^H K^-1 y with
     y = A^H conj(d), y_i = rho conj(d_i) - sigma conj(d_(i-1)). With K = L D L^H,
     L unit lower bidiagonal, theta is the sum of |z_i|^2 / D_i for L z = y: one
-    O(n) recurrence, on Python complex scalars as in `debranges.fplus`.
+    O(n) recurrence on Python complex scalars. D_i = K[i, i] - |e|^2 / D_(i-1)
+    is not linear, so it does not run as a doubling scan like `debranges.fplus`.
     """
     b, rho, sigma = pair.b, pair.rho, pair.sigma
     e = b.c.conjugate() * b.gamma - rho * sigma  # K[i, i-1]

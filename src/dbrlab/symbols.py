@@ -223,7 +223,7 @@ def pythagorean_mate(b):
         disc = 0.0
     rho2 = (s + math.sqrt(disc)) / 2
     rho = math.sqrt(rho2)
-    # a product with 1 / rho, as `debranges.fplus` divides by rho
+    # a product with 1 / rho, as numpy divides a complex array by a real
     sigma = root * (1 / rho)
     return PythagoreanPair(b=b, rho=rho, sigma=sigma)
 
@@ -234,6 +234,14 @@ class SynthesisOutput:
     B: complex
 
     def symbol(self):
+        """A z / (1 - B z). On the circle h = 1 + O(|alpha|) rounds to 1 for
+        |alpha| below about eps / 2, and |B| = 1 / h < 1 with it: then
+        double precision cannot hold the symbol, SymbolError."""
+        if abs(self.B) >= 1:
+            raise SymbolError(
+                "double precision cannot hold the symbol A z / (1 - B z): "
+                f"|B| < 1 rounds to {abs(self.B)} (|alpha| below about eps / 2 on the circle)"
+            )
         return MoebiusSymbol(c=0, gamma=self.A, beta=self.B)
 
 

@@ -66,6 +66,30 @@ def fplus_loop(f, pair):
     return hardy.normalize(x)
 
 
+def fplus_mp(f, pair, dps=50):
+    """f+ by the back-substitution of T_conj(a) f+ = T_conj(b) f at dps digits,
+    with the geometric tails of beta kept as running sums, as `fplus_loop`
+    does; the pair's double constants and f are taken as exact. Returns one
+    coefficient per entry of f, each rounded once to a double."""
+    f = hardy.as_poly(f)
+    b = pair.b
+    with mpmath.workdps(dps):
+        c, gamma, beta, sigma = (mpmath.mpc(z) for z in (b.c, b.gamma, b.beta, pair.sigma))
+        rho = mpmath.mpf(pair.rho)
+        bc, bb = mpmath.conj(c), mpmath.conj(beta)
+        btop = mpmath.conj(c * beta + gamma)
+        atop = mpmath.conj(rho * beta - sigma)
+        x = np.empty(len(f), dtype=complex)
+        t = s = mpmath.mpc(0)
+        for i in range(len(f) - 1, -1, -1):
+            f_i = mpmath.mpc(complex(f[i]))
+            x_i = (bc * f_i + btop * t - atop * s) / rho
+            x[i] = complex(x_i)
+            t = f_i + bb * t
+            s = x_i + bb * s
+    return x
+
+
 def pencil_top_dense(G, d=None):
     """Top pencil eigenvalue d^H G_(N-1)^-1 d of a rank-1 H(b) defect d d^H
     against the leading N - 1 block of the Gram G, by one dense LU solve.

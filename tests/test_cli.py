@@ -226,6 +226,27 @@ def test_out_of_range_input_exits_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["synthesize", "--alpha", "1e-17", "--lambda", "1"],
+        ["verify-equality", "--alpha", "1e-17", "--lambda", "1", "--size", "8"],
+        ["kernel-norms", "--alpha", "1e-17i", "--lambda", "-1", "--points", "1"],
+        ["verify-equality", "--measure", "{tiny}", "--size", "8"],
+    ],
+)
+def test_unrepresentable_symbol_exits_2(tmp_path, capsys, argv):
+    # on the circle |B| = 1 / h < 1 rounds to 1 for |alpha| below about eps / 2
+    tiny = write_measure(tmp_path, PointMassMeasure.single(1, 1e-34))
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(tiny=tiny) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "double precision cannot hold the symbol" in errors[0]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "command, alpha, lam, rest",
     [
         ("synthesize", "1", "-0.3+0.2i", []),

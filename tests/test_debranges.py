@@ -24,13 +24,14 @@ from dbrlab.synthesis import synthesized_pair
 from oracles import (
     coanalytic_toeplitz_apply,
     fplus_loop,
+    fplus_mp,
     mate_taylor,
     symbol_taylor,
     unit_circle_deviation_np,
     validate_gram,
 )
 from test_hardy import sparse_poly
-from test_operators import valid_symbol
+from test_operators import unit_phase, valid_symbol
 
 SQ2 = 1 / np.sqrt(2)
 # single boundary-free reference pair used throughout: b(z) = z/sqrt(2)
@@ -204,7 +205,9 @@ direction = st.one_of(
     zeros=st.sampled_from([0.0, 0.3]),
 )
 def test_fplus_matches_the_numpy_scalar_loop(c, gamma, beta, fraction, deg, seed, zeros):
-    # Python and numpy scalars may round the division by rho differently; each
+    # the doubling scan and the loop round differently: the loop carries each
+    # term through up to d running-sum steps, the scan through ceil(log2(d + 1))
+    # additions and through powers of r rounded by repeated squaring; each
     # coefficient is a sum of at most d + 1 rounded terms of the solution's size
     b = MoebiusSymbol(0, 0, beta) if c == gamma == 0 else valid_symbol(c, gamma, beta, fraction)
     pair = pythagorean_mate(b)
@@ -213,6 +216,75 @@ def test_fplus_matches_the_numpy_scalar_loop(c, gamma, beta, fraction, deg, seed
     assert got.shape == want.shape
     scale = np.abs(want).max(initial=0)
     assert np.abs(got - want).max(initial=0) <= 4 * (deg + 1) * np.finfo(float).eps * scale
+
+
+def fplus_error_bound(f, pair):
+    """The forward-error bound of `fplus`'s docstring, per coefficient: with
+    S_i = sum_j |r|^j |f_(i+j)| / rho, r = conj(sigma) / rho and
+    L = ceil(log2 n), |y_i - fl(y_i)| <= K eps S_i for
+    K = (1 + sqrt(2)) (n - 1) + (sqrt(2) + 1/2) L + 1, and x_i = conj(c) y_i +
+    conj(gamma) y_(i+1) adds (sqrt(2) + 1/2) eps to each of its two terms.
+    The reference's own rounding to a double adds eps / 2 of |x_i| <= |c| S_i +
+    |gamma| S_(i+1). S runs on floats, and the first-order K eps becomes
+    K eps / (1 - K eps), which covers its rounding and the products of
+    (1 + delta) factors (Higham 2002, lemma 3.1).
+
+    Underflow adds an absolute error instead (Higham 2002, sec. 2.1): with
+    eta = 2^-1074, at most eta per complex product by a real and 2 eta per
+    complex product. y_i collects 2^L <= 2n initial products f_j (1 / rho) and
+    2^L - 1 scan products, 6 n eta; p_k = r^(2^k) carries
+    2^k eta + (2^k - 1) 2 eta <= 3 2^k eta, which multiplies some w_j,
+    |w_j| <= max S, and reaches y_i along 2^(L-1-k) paths: 3 n L eta max S
+    over the L steps. x_i adds its two products, 4 eta."""
+    f = hardy.as_poly(f)
+    n = len(f)
+    eps, eta = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    r = abs(pair.sigma) / pair.rho
+    S = np.zeros(n + 1)
+    for i in range(n - 1, -1, -1):
+        S[i] = abs(f[i]) / pair.rho + r * S[i + 1]
+    L = int(np.ceil(np.log2(n))) if n > 1 else 0
+    K = (1 + np.sqrt(2)) * (n - 1) + (np.sqrt(2) + 0.5) * L + 1
+    gamma_K = K * eps / (1 - K * eps)
+    c, g = abs(pair.b.c), abs(pair.b.gamma)
+    rounding = (gamma_K + (np.sqrt(2) + 1) * eps) * (c * S[:-1] + g * S[1:])
+    underflow = ((c + g) * 3 * n * (2 + L * S.max()) + 4) * eta
+    return rounding + underflow
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pair=st.one_of(
+        # |lambda| = 1: |sigma / rho| = 1, so no power of r decays
+        st.tuples(
+            st.tuples(st.floats(-6, 6), unit_phase).map(lambda et: 10 ** et[0] * et[1]),
+            unit_phase,
+        ).map(lambda al: synthesized_pair(*al)),
+        # general symbols up to 0.99 of the extreme scale, c or gamma possibly 0
+        st.tuples(
+            direction,
+            direction,
+            st.tuples(st.floats(0, 0.95), unit_phase).map(lambda rt: rt[0] * rt[1]),
+            st.floats(0, 0.99),
+        ).map(
+            lambda a: pythagorean_mate(
+                MoebiusSymbol(0, 0, a[2]) if a[0] == a[1] == 0 else valid_symbol(*a)
+            )
+        ),
+    ),
+    deg=st.integers(0, 600),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.sampled_from([0.0, 0.3]),
+)
+def test_fplus_is_within_its_forward_error_bound_of_mpmath(pair, deg, seed, zeros):
+    f = hardy.normalize(sparse_poly(deg, seed, zeros))
+    got = fplus(f, pair)
+    want = fplus_mp(f, pair)
+    err = np.abs(np.pad(got, (0, len(want) - len(got))) - want)
+    bound = fplus_error_bound(f, pair)
+    # normalize drops the computed trailing coefficients at or below its threshold
+    bound[len(got) :] += hardy.ZERO_THRESHOLD
+    assert (err <= bound).all()
 
 
 class TestHbInner:

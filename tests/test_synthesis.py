@@ -127,6 +127,18 @@ def test_synthesis_beyond_float_weight_raises():
             synthesize_symbol(alpha, 0.5)
 
 
+def test_symbol_below_double_resolution_on_the_circle_raises():
+    # h = 1 + O(|alpha|) rounds to 1, so |B| = 1 / h rounds to 1: B is not clamped
+    for alpha, lam in ((1e-17, 1), (1e-20j, -1), (1e-300, 1j)):
+        out = synthesize_symbol(alpha, lam)
+        assert abs(out.B) == 1
+        with pytest.raises(SymbolError, match="double precision"):
+            out.symbol()
+        with pytest.raises(SymbolError, match="double precision"):
+            synthesized_pair(alpha, lam)
+    assert abs(synthesize_symbol(2e-16, 1).symbol().beta) < 1
+
+
 class TestVerifyNormEquality:
     def test_origin(self):
         assert verify_norm_equality(1, 0, 16).passed
