@@ -10,7 +10,10 @@ product of polynomials decomposes as
 where f+ is the unique polynomial with T_conj(a) f+ = T_conj(b) f. Both
 Toeplitz operators are polynomials in the backward shift J, so their common
 factor (1 - conj(beta) J)^-1 cancels and f+ is one first-order recurrence in
-J, run as a doubling scan of ceil(log2 n) array steps (`fplus`).
+J, run as a doubling scan of ceil(log2 n) array steps (`fplus`). That scan,
+`hardy.geometric_scan`, is shared with synthetic division
+(`hardy.difference_quotient`) and with the tail of the rank-1 pencil's
+LDL^H recurrence (`operators._pencil_top`).
 """
 
 import numpy as np
@@ -38,14 +41,13 @@ def fplus(f, pair):
     y = (rho - conj(sigma) J)^-1 f, the first-order recurrence
     y_i = f_i / rho + r y_(i+1), r = conj(sigma) / rho, |r| <= 1.
 
-    On the reversed array w, which starts as f reversed over rho, that
-    recurrence is a prefix scan, run as a Hillis-Steele doubling: the step
-    w[s:] += p w[:-s] with p = r^s, then p <- p^2 and s <- 2s, leaves each
-    w_m summing its terms up to 2s - 1 places back, so L = ceil(log2 n)
-    steps give y reversed. r is one correctly rounded Python division per
+    On f reversed over rho that recurrence is `hardy.geometric_scan` with
+    ratio r, a Hillis-Steele doubling of L = ceil(log2 n) array steps that
+    gives y reversed. r is one correctly rounded Python division per
     part, so for the synthesized pair at lambda = +-1 or +-i, where
-    sigma = conj(lambda) rho, r = lambda is exact and so is each p; numpy
-    divides f by rho as a product with 1 / rho.
+    sigma = conj(lambda) rho, r = lambda is exact and so is each power
+    p = r^(2^k) that the scan squares; numpy divides f by rho as a product
+    with 1 / rho.
 
     Forward error, to first order in eps (complex product sqrt(2) eps,
     complex sum and product with a real eps / 2 each, Higham 2002 sec. 3.6):
@@ -65,17 +67,9 @@ def fplus(f, pair):
     ((|c| + |gamma|) 3 n (2 + L max_i S_i) + 4) 2^-1074.
     """
     f = hardy.normalize(f)
-    n = len(f)
-    if n == 0:
+    if len(f) == 0:
         return f
-    p = pair.sigma.conjugate() / pair.rho
-    w = f[::-1] / pair.rho
-    s = 1
-    while s < n and p:  # p = 0 (sigma = 0, or r^s underflowed) adds nothing
-        w[s:] += p * w[:-s]
-        p *= p
-        s *= 2
-    y = w[::-1]
+    y = hardy.geometric_scan(f[::-1] / pair.rho, pair.sigma.conjugate() / pair.rho)[::-1]
     x = pair.b.c.conjugate() * y
     x[:-1] += pair.b.gamma.conjugate() * y[1:]
     return hardy.normalize(x)

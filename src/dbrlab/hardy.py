@@ -72,19 +72,52 @@ def h2_inner(f, g):
     return complex(np.vdot(g[:n], f[:n]))
 
 
+def geometric_scan(w, p):
+    """In place, w_m <- sum_(j <= m) p^j w_(m-j): the first-order recurrence
+    v_m = w_m + p v_(m-1), run as a Hillis-Steele doubling (Blelloch 1990).
+
+    The step w[s:] += p w[:-s], then p <- p^2 and s <- 2s, leaves each w_m
+    summing its terms up to 2s - 1 places back, so L = ceil(log2 n) steps
+    finish a row of n. The term p^j w_(m-j) is multiplied by the power
+    p^(2^k) of each set bit k of j, and goes through at most L additions.
+    The loop stops early once the power is 0 (p = 0, or p^(2^k)
+    underflowed), when the steps left would add nothing. Returns w.
+    """
+    n, s = len(w), 1
+    while s < n and p:
+        w[s:] += p * w[:-s]
+        p *= p
+        s *= 2
+    return w
+
+
 def difference_quotient(f, zeta):
     """Exact synthetic division of f by (z - zeta).
 
     Returns q with f(z) = f(zeta) + (z - zeta) q(z); deg q = deg f - 1.
     Valid for zeta anywhere in the closed disk, boundary included. The
-    recurrence q_k = f_(k+1) + zeta q_(k+1) runs on Python complex scalars.
+    recurrence q_k = f_(k+1) + zeta q_(k+1), q_(n-1) = f_n, is a
+    `geometric_scan` of the reversed f[1:] with ratio zeta, in
+    L = ceil(log2 n) array steps for the n = deg f coefficients of q.
+
+    Forward error, to first order in eps, counted as for `debranges.fplus`
+    (complex product sqrt(2) eps, complex sum eps / 2, Higham 2002
+    sec. 3.6): zeta is exact, and p = zeta^(2^k) comes by k squarings, each
+    doubling the relative error and adding sqrt(2) eps, so p carries at
+    most (2^k - 1) sqrt(2) eps; summed over the bits of j <= n - 1 that is
+    sqrt(2) (n - 1) eps on the term zeta^j f_(k+1+j) of q_k, plus sqrt(2) eps
+    for each of at most L products and eps / 2 for each of at most L
+    additions. So with S_k = sum_j |zeta|^j |f_(k+1+j)|,
+
+        |q_k - fl(q_k)| <= (sqrt(2) (n - 1) + (sqrt(2) + 1/2) L) eps S_k.
+
+    Products that underflow add an absolute error on top, at most
+    2 n (2 + L max_k S_k) 2^-1074: 2 2^-1074 for each of the 2^L - 1 < 2 n
+    scan products that reach q_k, and for each step the (2^(k+1) - 2) 2^-1074
+    of p = zeta^(2^k) times a partial sum of at most max S, along the
+    2^(L-1-k) paths that carry it to q_k.
     """
     f = normalize(f)
     if len(f) < 2:
         return f[:0]
-    zeta = complex(zeta)
-    coeffs = f.tolist()
-    q = [coeffs[-1]]
-    for c in reversed(coeffs[1:-1]):
-        q.append(c + zeta * q[-1])
-    return np.array(q[::-1], dtype=complex)
+    return geometric_scan(f[:0:-1].copy(), complex(zeta))[::-1]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import debranges
+from . import debranges, hardy
 from .dirichlet import GramMatrix
 from .symbols import TOLERANCES, Certificate
 
@@ -260,23 +260,53 @@ def _pencil_top(pair, d):
     T_conj(a) and T_conj(b) cancel, as both are polynomials in J. So
     G = conj(I + (B A^-1)^H B A^-1) = conj(A^-H K A^-1) with K = A^H A + B^H B,
     Hermitian positive definite and tridiagonal: K[0, 0] = rho^2 + |c|^2,
-    K[i, i] = rho^2 + |sigma|^2 + |c|^2 + |gamma|^2 for i >= 1 and
-    K[i-1, i] = c conj(gamma) - rho conj(sigma). Then theta = y^H K^-1 y with
+    K[i, i] = k1 = rho^2 + |sigma|^2 + |c|^2 + |gamma|^2 for i >= 1 and
+    K[i, i-1] = e = conj(c) gamma - rho sigma. Then theta = y^H K^-1 y with
     y = A^H conj(d), y_i = rho conj(d_i) - sigma conj(d_(i-1)). With K = L D L^H,
-    L unit lower bidiagonal, theta is the sum of |z_i|^2 / D_i for L z = y: one
-    O(n) recurrence on Python complex scalars. D_i = K[i, i] - |e|^2 / D_(i-1)
-    is not linear, so it does not run as a doubling scan like `debranges.fplus`.
+    L unit lower bidiagonal, theta is the sum of |z_i|^2 / D_i for L z = y,
+    z_i = y_i - (e / D_(i-1)) z_(i-1).
+
+    The pivots D_i = k1 - |e|^2 / D_(i-1) are not linear, so they run one
+    Python step each, but only until they settle: once fl(k1 - |e|^2 / D)
+    returns D itself, every later pivot is that same double, and from there
+    z is the constant-ratio recurrence z_i = y_i - (e / D) z_(i-1), run as
+    `hardy.geometric_scan` with ratio -e / D on the rest of y, built in
+    numpy, and theta takes the rest of its terms as one sum. A pivot that
+    never settles runs the loop, on Python complex scalars, to the end.
+
+    Rounding, to first order, u = eps / 2 per real operation (Higham 2002,
+    ch. 3): a loop step rounds the summand |z_i|^2 / D_i by less than 15u
+    (each term of z_i < 5u through its product and the additions after it,
+    doubled by the square, then 2u for the square, 2u for D_i and u for the
+    division) and the running sum by u, so theta errs by at most 16u per
+    step, 8 n eps theta over n steps. In the tail a term of z_i reaches it
+    through the scan's powers of the rounded ratio, (1 + sqrt(2)) eps < 5u
+    per place, and at most L = ceil(log2 n) products and additions,
+    (sqrt(2) + 1/2) L eps; its summand then takes 5u as before, and at most
+    n additions of u in the tail's sum and theta. So a tail summand errs by
+    at most (5.5 n + 2.5 + (2 sqrt(2) + 1) L) eps relative, below
+    8 (n + 1) eps for every n, so theta errs by at most 8 (n + 1) eps theta
+    on either path.
     """
     b, rho, sigma = pair.b, pair.rho, pair.sigma
     e = b.c.conjugate() * b.gamma - rho * sigma  # K[i, i-1]
     e2 = abs(e) ** 2
     k1 = rho * rho + abs(sigma) ** 2 + abs(b.c) ** 2 + abs(b.gamma) ** 2
-    x = np.conj(d).tolist()
-    z, D = rho * x[0], rho * rho + abs(b.c) ** 2
+    x = np.conj(d)
+    prev = complex(x[0])
+    z, D = rho * prev, rho * rho + abs(b.c) ** 2
     theta = (z.real**2 + z.imag**2) / D
-    for prev, cur in zip(x, x[1:]):
+    for i in range(1, len(x)):
+        D_next = k1 - e2 / D
+        if D_next == D:
+            # D is the fixed point: z_j = y_j - (e / D) z_(j-1) for every j >= i
+            tail = rho * x[i:] - sigma * x[i - 1 : -1]
+            tail[0] -= e / D * z
+            hardy.geometric_scan(tail, -e / D)
+            return theta + float((tail.real**2 + tail.imag**2).sum()) / D
+        cur = complex(x[i])
         z = rho * cur - sigma * prev - e / D * z
-        D = k1 - e2 / D
+        prev, D = cur, D_next
         theta += (z.real**2 + z.imag**2) / D
     return theta
 

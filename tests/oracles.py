@@ -43,6 +43,21 @@ def difference_quotient_loop(f, zeta):
     return q
 
 
+def difference_quotient_mp(f, zeta, dps=50):
+    """Synthetic division of f by (z - zeta) by its back-substitution
+    q_(d-1) = f_d, q_k = f_(k+1) + zeta q_(k+1) at dps digits, f and zeta taken
+    as exact. Returns one coefficient per entry of f[1:] (d of them for d + 1
+    entries), each rounded once to a double."""
+    f = hardy.as_poly(f)
+    q = np.empty(max(len(f) - 1, 0), dtype=complex)
+    with mpmath.workdps(dps):
+        z, acc = mpmath.mpc(complex(zeta)), mpmath.mpc(0)
+        for k in range(len(q) - 1, -1, -1):
+            acc = mpmath.mpc(complex(f[k + 1])) + z * acc
+            q[k] = complex(acc)
+    return q
+
+
 def fplus_loop(f, pair):
     """f+ by the back-substitution of T_conj(a) f+ = T_conj(b) f on numpy
     scalars, dividing by rho, with the geometric tails kept as running sums."""
@@ -101,6 +116,26 @@ def pencil_top_dense(G, d=None):
         j = int(np.argmax(D.diagonal().real))
         d = D[:, j] / np.sqrt(D[j, j].real)
     return float(np.vdot(d, np.linalg.solve(A[:-1, :-1], d)).real)
+
+
+def pencil_top_loop(pair, d):
+    """theta = d^H G^-1 d for the leading len(d) block G of the pair's H(b)
+    Gram by the LDL^H recurrence of K = A^H A + B^H B (`operators._pencil_top`)
+    run to the end on Python complex scalars: z_i = y_i - (e / D_(i-1)) z_(i-1),
+    D_i = k1 - |e|^2 / D_(i-1) and theta = sum_i |z_i|^2 / D_i, one step per
+    entry of d, whether or not the pivots have settled."""
+    b, rho, sigma = pair.b, pair.rho, pair.sigma
+    e = b.c.conjugate() * b.gamma - rho * sigma  # K[i, i-1]
+    e2 = abs(e) ** 2
+    k1 = rho * rho + abs(sigma) ** 2 + abs(b.c) ** 2 + abs(b.gamma) ** 2
+    x = np.conj(d).tolist()
+    z, D = rho * x[0], rho * rho + abs(b.c) ** 2
+    theta = (z.real**2 + z.imag**2) / D
+    for prev, cur in zip(x, x[1:]):
+        z = rho * cur - sigma * prev - e / D * z
+        D = k1 - e2 / D
+        theta += (z.real**2 + z.imag**2) / D
+    return theta
 
 
 def coanalytic_toeplitz_apply(symbol_coeffs, f):

@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 from dbrlab import hardy
 
-from oracles import difference_quotient_loop, exact_powers, moebius_taylor, poly_eval
+from oracles import (
+    difference_quotient_loop,
+    difference_quotient_mp,
+    exact_powers,
+    moebius_taylor,
+    poly_eval,
+)
 
 EPS = np.finfo(float).eps
 
@@ -119,19 +125,72 @@ disk_point = st.one_of(
 )
 
 
+def difference_quotient_error_bound(f, zeta):
+    """The forward-error bound of `hardy.difference_quotient`'s docstring, per
+    coefficient: with n = deg f, S_k = sum_j |zeta|^j |f_(k+1+j)| and
+    L = ceil(log2 n), |q_k - fl(q_k)| <= K eps S_k for
+    K = sqrt(2) (n - 1) + (sqrt(2) + 1/2) L. The reference's own rounding to a
+    double adds eps / 2 of |q_k| <= S_k. S runs on floats, and the first-order
+    K eps becomes K eps / (1 - K eps), which covers its rounding and the
+    products of (1 + delta) factors (Higham 2002, lemma 3.1). Underflow adds
+    the absolute 2 n (2 + L max S) 2^-1074 on top."""
+    f = hardy.as_poly(f)
+    n = max(len(f) - 1, 0)
+    eta = np.finfo(float).smallest_subnormal
+    a = abs(zeta)
+    S = np.zeros(n + 1)
+    for k in range(n - 1, -1, -1):
+        S[k] = abs(f[k + 1]) + a * S[k + 1]
+    L = int(np.ceil(np.log2(n))) if n > 1 else 0
+    K = np.sqrt(2) * (n - 1) + (np.sqrt(2) + 0.5) * L
+    gamma_K = K * EPS / (1 - K * EPS)
+    return (gamma_K + EPS / 2) * S[:-1] + 2 * n * (2 + L * S.max()) * eta
+
+
+# zeta rounding to 0 or to a subnormal, or whose powers underflow
+tiny_point = st.tuples(
+    st.sampled_from([5e-324, 1e-310, 1e-160, 1e-100]), st.floats(0, 2 * np.pi)
+).map(lambda rt: complex(rt[0] * np.exp(1j * rt[1])))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     deg=st.integers(0, 600),
     seed=st.integers(0, 2**32 - 1),
     zeros=st.sampled_from([0.0, 0.3, 1.0]),
-    zeta=disk_point,
+    zeta=st.one_of(disk_point, tiny_point),
+    scale=st.sampled_from([1.0, 1e-310]),
 )
-def test_difference_quotient_is_the_numpy_scalar_loop(deg, seed, zeros, zeta):
-    # the same recurrence on Python complex scalars rounds exactly as on numpy
-    # scalars: complex products and sums are the same IEEE operations
+def test_difference_quotient_is_within_its_forward_error_bound_of_mpmath(
+    deg, seed, zeros, zeta, scale
+):
     f = sparse_poly(deg, seed, zeros)
+    if scale != 1:
+        # subnormal coefficients below a unit leading one: with a tiny zeta the
+        # products underflow where eps S_k < 2^-1074, and only the absolute
+        # term of the bound holds
+        f[:-1] *= scale
+        f[-1] = 1
+    f = hardy.normalize(f)
     got = hardy.difference_quotient(f, zeta)
-    assert got.tobytes() == difference_quotient_loop(f, zeta).tobytes()
+    want = difference_quotient_mp(f, zeta)
+    assert got.shape == want.shape
+    assert (np.abs(got - want) <= difference_quotient_error_bound(f, zeta)).all()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    deg=st.integers(0, 600),
+    seed=st.integers(0, 2**32 - 1),
+    zeta=st.sampled_from([0j, 1, -1, 1j, -1j]),
+)
+def test_difference_quotient_is_the_loop_where_arithmetic_is_exact(deg, seed, zeta):
+    # Gaussian integers below 2^8 and zeta in {0, +-1, +-i}: every power of
+    # zeta and every partial sum, below 601 * 2^8 < 2^18, is exact, so the
+    # scan's order of summation gives the loop's coefficients
+    rng = np.random.default_rng(seed)
+    f = rng.integers(-255, 256, deg + 1) + 1j * rng.integers(-255, 256, deg + 1)
+    assert np.array_equal(hardy.difference_quotient(f, zeta), difference_quotient_loop(f, zeta))
 
 
 class TestMoebiusTaylor:

@@ -29,6 +29,7 @@ from oracles import (
     dmu_forms_closed,
     pascal_forms,
     pencil_top_dense,
+    pencil_top_loop,
     ratio_witness_dense,
     symbol_taylor,
 )
@@ -596,9 +597,14 @@ def test_pencil_eigenvalue_brackets_the_dense_solve(pair, N):
     # product (< 4u with e / D) and the additions after it (two after
     # sigma * prev, one after (e / D) z), doubled by the square, then 2u
     # for the square, 2u for D_i and u for the division. The running sum
-    # adds u, so each step contributes at most 16u = 8 eps relative, and
-    # carried through the N - 1 steps the recurrence errs by at most
-    # 8 N eps theta to first order. Both take the defect vector
+    # adds u, so each loop step contributes at most 16u = 8 eps relative.
+    # Once the pivot settles, the scan tail carries a term l places through
+    # the rounded powers of e / D, (1 + sqrt(2)) l eps < 5u l, and through at
+    # most L = ceil(log2(N - 1)) products and additions, (sqrt(2) + 1/2) L eps;
+    # its summand takes 5u as in the loop and at most N - 1 additions of u,
+    # so it errs by at most (5.5 (N - 1) + 2.5 + (2 sqrt(2) + 1) L) eps,
+    # below 8 N eps for every N. On either path the recurrence errs by at
+    # most 8 N eps theta to first order. Both take the defect vector
     # d = U1[0] of the generator row; the Gram block of the oracle is the
     # dense one, which the recurrence never reads
     Gram = hb_gram(pair, N)
@@ -609,6 +615,66 @@ def test_pencil_eigenvalue_brackets_the_dense_solve(pair, N):
     slack = (8 * N + np.abs(G[:-1, :-1]).sum(axis=0).max()) * EPS * want
     assert theta - slack <= want <= theta + slack
     assert cert.context["route"] == "banded"
+
+
+def pivot_settles(pair, n):
+    """The step i < n at which the LDL^H pivots of `_pencil_top` settle, where
+    fl(k1 - |e|^2 / D) returns D, or None if they do not within n steps."""
+    b, rho, sigma = pair.b, pair.rho, pair.sigma
+    e2 = abs(b.c.conjugate() * b.gamma - rho * sigma) ** 2
+    k1 = rho * rho + abs(sigma) ** 2 + abs(b.c) ** 2 + abs(b.gamma) ** 2
+    D = rho * rho + abs(b.c) ** 2
+    for i in range(1, n):
+        if k1 - e2 / D == D:
+            return i
+        D = k1 - e2 / D
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pair=st.one_of(
+        st.tuples(
+            st.tuples(st.floats(0.1, 1), unit_phase).map(lambda rt: rt[0] * rt[1]),
+            st.tuples(st.floats(0.1, 1), unit_phase).map(lambda rt: rt[0] * rt[1]),
+            st.tuples(st.floats(0, 0.9), unit_phase).map(lambda rt: rt[0] * rt[1]),
+            st.floats(0.05, 0.99),
+        ).map(lambda a: pythagorean_mate(valid_symbol(*a))),
+        # small |alpha| settles late: at step 168 for 0.1 on the circle
+        st.tuples(
+            st.floats(-2, 2).map(lambda t: 10**t),
+            st.one_of(
+                unit_phase,
+                st.tuples(st.floats(0, 0.99), unit_phase).map(lambda rt: rt[0] * rt[1]),
+            ),
+        ).map(lambda a: synthesized_pair(*a)),
+        # b = gamma z has sigma = 0, so e = 0 and the tail's ratio is 0
+        st.floats(0, 0.99).map(lambda g: pythagorean_mate(MoebiusSymbol(0, g, 0))),
+    ),
+    N=st.integers(2, 600),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(pair=synthesized_pair(1.0, 0.5), N=2, seed=0)
+@example(pair=synthesized_pair(1e3, 0.5), N=5, seed=0)  # settles at step 3, the last
+@example(pair=pythagorean_mate(MoebiusSymbol(0, 0.5, 0)), N=3, seed=0)
+# the pivots settle at step 1475 only: the loop runs to the end
+@example(pair=synthesized_pair(0.01, 1.0), N=600, seed=0)
+def test_pencil_scan_tail_matches_the_loop(pair, N, seed):
+    # the defect's d decays like beta^i, so where the pivots settle its tail
+    # adds little to theta; a random d of unit entries weighs the tail fully
+    rng = np.random.default_rng(seed)
+    defect = hb_gram(pair, N).generators[0, 1:]
+    settled = pivot_settles(pair, N - 1) is not None
+    for d in (defect, np.array([1, 1j]) @ rng.standard_normal((2, N - 1))):
+        got, want = _pencil_top(pair, d), pencil_top_loop(pair, d)
+        if not settled:
+            assert got == want
+        else:
+            # the loop errs by at most 8 N eps theta, and so does the scan
+            # tail (`_pencil_top`, and the slack of the test above), so the
+            # two differ by at most twice that, to first order
+            K = 16 * N * EPS
+            assert abs(got - want) <= K / (1 - K) * want
 
 
 # ---- NSD verdict: the dense route against the top eigenvalue ----

@@ -11,6 +11,7 @@ from dbrlab.debranges import MoebiusSymbol, SymbolError, hb_gram
 from dbrlab.dirichlet import PointMassMeasure, dmu_gram
 from dbrlab.synthesis import (
     equality_certificate,
+    kernel_norm_certificates,
     point_mass,
     synthesize_symbol,
     synthesized_pair,
@@ -252,6 +253,27 @@ class TestCorollaryParams:
             weight, lam2 = corollary_params(out.B, out.A)
             assert weight == pytest.approx(aa**2, rel=1e-10)
             assert lam2 == pytest.approx(lam, abs=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log_alpha=st.floats(-8, 7),
+    phase=st.floats(0, 2 * np.pi),
+    radius=st.one_of(st.floats(0, 0.99), st.just(1.0)),
+    theta=st.floats(0, 2 * np.pi),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(log_alpha=-6, phase=0, radius=0.5, theta=0, seed=0)
+@example(log_alpha=-6, phase=0, radius=1.0, theta=0, seed=0)
+def test_kernel_norms_hold_for_every_alpha(log_alpha, phase, radius, theta, seed):
+    # the D(mu) part of ||k_w||^2 is |alpha|^2 ||(k_w - k_w(lambda)) / (z - lambda)||^2,
+    # taken as the atom term itself: a difference of the D(mu) and H^2 norms
+    # would lose eps / |alpha|^2 of it and FAIL below |alpha| ~ 1e-4
+    alpha = 10**log_alpha * cmath.exp(1j * phase)
+    lam = radius * cmath.exp(1j * theta)
+    certs = kernel_norm_certificates(alpha, lam, 3, 300, 0.8, seed)
+    assert [c.kind for c in certs] == ["dmu-kernel-norm", "hb-kernel-norm"] * 3
+    assert all(c.passed for c in certs), [(c.kind, c.witness) for c in certs]
 
 
 class TestClassifySymbol:
