@@ -11,9 +11,9 @@ where f+ is the unique polynomial with T_conj(a) f+ = T_conj(b) f. Both
 Toeplitz operators are polynomials in the backward shift J, so their common
 factor (1 - conj(beta) J)^-1 cancels and f+ is one first-order recurrence in
 J, run as a doubling scan of ceil(log2 n) array steps (`fplus`). That scan,
-`hardy.geometric_scan`, is shared with synthetic division
-(`hardy.difference_quotient`) and with the tail of the rank-1 pencil's
-LDL^H recurrence (`operators._pencil_top`).
+`hardy.geometric_scan`, also runs synthetic division (`hardy.difference_quotient`)
+and the rank-1 pencil (`operators._pencil_top`), whose tridiagonal matrix is a
+Toeplitz bidiagonal square plus a rank-1 corner that Sherman-Morrison adds back.
 """
 
 import numpy as np

@@ -259,56 +259,56 @@ def _pencil_top(pair, d):
     and B = conj(c) + conj(gamma) J: the (1 - conj(beta) J)^-1 factors of
     T_conj(a) and T_conj(b) cancel, as both are polynomials in J. So
     G = conj(I + (B A^-1)^H B A^-1) = conj(A^-H K A^-1) with K = A^H A + B^H B,
-    Hermitian positive definite and tridiagonal: K[0, 0] = rho^2 + |c|^2,
-    K[i, i] = k1 = rho^2 + |sigma|^2 + |c|^2 + |gamma|^2 for i >= 1 and
+    Hermitian positive definite and tridiagonal: K[0, 0] = k0 = rho^2 + |c|^2,
+    K[i, i] = k1 = k0 + |sigma|^2 + |gamma|^2 for i >= 1 and
     K[i, i-1] = e = conj(c) gamma - rho sigma. Then theta = y^H K^-1 y with
-    y = A^H conj(d), y_i = rho conj(d_i) - sigma conj(d_(i-1)). With K = L D L^H,
-    L unit lower bidiagonal, theta is the sum of |z_i|^2 / D_i for L z = y,
-    z_i = y_i - (e / D_(i-1)) z_(i-1).
+    y = A^H conj(d), y_i = rho conj(d_i) - sigma conj(d_(i-1)).
 
-    The pivots D_i = k1 - |e|^2 / D_(i-1) are not linear, so they run one
-    Python step each, but only until they settle: once fl(k1 - |e|^2 / D)
-    returns D itself, every later pivot is that same double, and from there
-    z is the constant-ratio recurrence z_i = y_i - (e / D) z_(i-1), run as
-    `hardy.geometric_scan` with ratio -e / D on the rest of y, built in
-    numpy, and theta takes the rest of its terms as one sum. A pivot that
-    never settles runs the loop, on Python complex scalars, to the end.
+    K is Toeplitz but for a rank-1 corner (a rank-k one would take Woodbury's identity):
+    K = D L L^H - delta e0 e0^T, L = I + t S (S the down-shift), t = e / D, where
+    D = (k1 + sqrt((k1 - 2|e|)(k1 + 2|e|))) / 2, the larger root of D + |e|^2 / D = k1, is
+    the limit of K's LDL^H pivots and delta = D - k0 >= 0: |e|^2 <= k0 (k1 - k0) by
+    Cauchy-Schwarz puts k0 between the roots. With v = L^-1 y (`hardy.geometric_scan`,
+    ratio -t), g = L^-1 e0 = (-t)^i and h = g^H v, Sherman-Morrison gives
 
-    Rounding, to first order, u = eps / 2 per real operation (Higham 2002,
-    ch. 3): a loop step rounds the summand |z_i|^2 / D_i by less than 15u
-    (each term of z_i < 5u through its product and the additions after it,
-    doubled by the square, then 2u for the square, 2u for D_i and u for the
-    division) and the running sum by u, so theta errs by at most 16u per
-    step, 8 n eps theta over n steps. In the tail a term of z_i reaches it
-    through the scan's powers of the rounded ratio, (1 + sqrt(2)) eps < 5u
-    per place, and at most L = ceil(log2 n) products and additions,
-    (sqrt(2) + 1/2) L eps; its summand then takes 5u as before, and at most
-    n additions of u in the tail's sum and theta. So a tail summand errs by
-    at most (5.5 n + 2.5 + (2 sqrt(2) + 1) L) eps relative, below
-    8 (n + 1) eps for every n, so theta errs by at most 8 (n + 1) eps theta
-    on either path.
+        theta = (||v||^2 + delta |h|^2 / q) / D,  q = k0 - delta sum_(i>=1) |g_i|^2,
+
+    whose two terms add. q = D - delta ||g||^2 > 0 is formed from k0: through D it cancels.
+
+    Forward error, to first order in eps (complex product sqrt(2) eps, complex sum and
+    product with a real eps / 2, Higham 2002 sec. 3.6; the pair's constants and d exact;
+    underflow not counted). The rounded k0, D, t and D - k0 make the formula exact for a
+    tridiagonal K' off K by at most b0 = 2 eps k0 at the corner,
+    be = eps (sqrt(2) |c gamma| + rho |sigma| / 2 + |e|) off the diagonal and
+    b1 = 33/8 eps k1 on the rest of it: 3 eps k1 from k1's sums, and 9/8 eps k1 as D errs
+    by eps (5 s / 8 + |e|^2 / s + D / 2), s = D - |e|^2 / D, which moves D + |e|^2 / D by
+    s / D times that. This conditioning term, w^H (K - K') w for
+    w = K^-1 y = L^-H (v + delta h g / q) / D, is at most
+    b0 |w_0|^2 + b1 sum_(i>=1) |w_i|^2 + 2 be sum_(i>=1) |w_i w_(i-1)|. On K', y_i errs by
+    (sqrt(2) + 1/2) eps Y_i, Y_i = rho |d_i| + |sigma| |d_(i-1)|, and the scan by
+    (sqrt(2) (n - 1) + (sqrt(2) + 1/2) L) eps, L = ceil(log2 n), of the absolute scan
+    S_i = sum_j |t|^j Y_(i-j) >= |v_i| (`hardy.difference_quotient`). So v_i errs by at
+    most Kv eps S_i, Kv = sqrt(2) (n - 1) + (sqrt(2) + 1/2) (L + 1), and ||v||^2 by
+    2 Kv eps sum_i |v_i| S_i + (n + 1) eps ||v||^2 / 2. g_i errs by sqrt(2) i eps |t|^i
+    and the dot product by (sqrt(2) + (n - 1) / 2) eps sum_i |g_i v_i|, so h errs by
+    Kh eps P, Kh = Kv + sqrt(2) n + (n - 1) / 2, P = sum_i |t|^i S_i, and the corner term
+    c = delta |h|^2 / q by 2 delta |h| Kh eps P / q + c (3 eps + dq / q), where q errs by
+    dq = eps ((2 sqrt(2) (n - 1) + n / 2 + 1) delta sum_(i>=1) |g_i|^2 + q / 2). Both
+    errors are divided by D; the final sum and division add eps theta.
     """
     b, rho, sigma = pair.b, pair.rho, pair.sigma
     e = b.c.conjugate() * b.gamma - rho * sigma  # K[i, i-1]
-    e2 = abs(e) ** 2
-    k1 = rho * rho + abs(sigma) ** 2 + abs(b.c) ** 2 + abs(b.gamma) ** 2
-    x = np.conj(d)
-    prev = complex(x[0])
-    z, D = rho * prev, rho * rho + abs(b.c) ** 2
-    theta = (z.real**2 + z.imag**2) / D
-    for i in range(1, len(x)):
-        D_next = k1 - e2 / D
-        if D_next == D:
-            # D is the fixed point: z_j = y_j - (e / D) z_(j-1) for every j >= i
-            tail = rho * x[i:] - sigma * x[i - 1 : -1]
-            tail[0] -= e / D * z
-            hardy.geometric_scan(tail, -e / D)
-            return theta + float((tail.real**2 + tail.imag**2).sum()) / D
-        cur = complex(x[i])
-        z = rho * cur - sigma * prev - e / D * z
-        prev, D = cur, D_next
-        theta += (z.real**2 + z.imag**2) / D
-    return theta
+    k0 = rho * rho + abs(b.c) ** 2
+    k1 = k0 + abs(sigma) ** 2 + abs(b.gamma) ** 2
+    # k1 - 2|e| is (1 - |beta|)^2 for an exact mate, and may round below 0
+    D = (k1 + math.sqrt(max(k1 - 2 * abs(e), 0.0) * (k1 + 2 * abs(e)))) / 2
+    x, t = np.conj(d), e / D
+    v = rho * x
+    v[1:] -= sigma * x[:-1]
+    hardy.geometric_scan(v, -t)
+    g, delta = hardy.powers(-t, len(v)), D - k0
+    h, q = np.vdot(g, v), k0 - delta * np.vdot(g[1:], g[1:]).real
+    return float(np.vdot(v, v).real + delta * abs(h) ** 2 / q) / D
 
 
 def rank1_defect_check(G_b, pair, tol=1e-8):

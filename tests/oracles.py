@@ -118,24 +118,27 @@ def pencil_top_dense(G, d=None):
     return float(np.vdot(d, np.linalg.solve(A[:-1, :-1], d)).real)
 
 
-def pencil_top_loop(pair, d):
+def pencil_top_mp(pair, d, dps=50):
     """theta = d^H G^-1 d for the leading len(d) block G of the pair's H(b)
     Gram by the LDL^H recurrence of K = A^H A + B^H B (`operators._pencil_top`)
-    run to the end on Python complex scalars: z_i = y_i - (e / D_(i-1)) z_(i-1),
-    D_i = k1 - |e|^2 / D_(i-1) and theta = sum_i |z_i|^2 / D_i, one step per
-    entry of d, whether or not the pivots have settled."""
-    b, rho, sigma = pair.b, pair.rho, pair.sigma
-    e = b.c.conjugate() * b.gamma - rho * sigma  # K[i, i-1]
-    e2 = abs(e) ** 2
-    k1 = rho * rho + abs(sigma) ** 2 + abs(b.c) ** 2 + abs(b.gamma) ** 2
-    x = np.conj(d).tolist()
-    z, D = rho * x[0], rho * rho + abs(b.c) ** 2
-    theta = (z.real**2 + z.imag**2) / D
-    for prev, cur in zip(x, x[1:]):
-        z = rho * cur - sigma * prev - e / D * z
-        D = k1 - e2 / D
-        theta += (z.real**2 + z.imag**2) / D
-    return theta
+    at dps digits: z_i = y_i - (e / D_(i-1)) z_(i-1), D_i = k1 - |e|^2 / D_(i-1)
+    and theta = sum_i |z_i|^2 / D_i, one step per entry of d. The pair's double
+    constants and d are taken as exact; theta is rounded once to a double."""
+    b = pair.b
+    with mpmath.workdps(dps):
+        c, gamma, sigma = (mpmath.mpc(z) for z in (b.c, b.gamma, pair.sigma))
+        rho = mpmath.mpf(pair.rho)
+        e = mpmath.conj(c) * gamma - rho * sigma  # K[i, i-1]
+        e2 = abs(e) ** 2
+        k1 = rho**2 + abs(sigma) ** 2 + abs(c) ** 2 + abs(gamma) ** 2
+        x = [mpmath.conj(mpmath.mpc(complex(z))) for z in d]
+        z, D = rho * x[0], rho**2 + abs(c) ** 2
+        theta = abs(z) ** 2 / D
+        for prev, cur in zip(x, x[1:]):
+            z = rho * cur - sigma * prev - e / D * z
+            D = k1 - e2 / D
+            theta += abs(z) ** 2 / D
+        return float(theta)
 
 
 def coanalytic_toeplitz_apply(symbol_coeffs, f):
