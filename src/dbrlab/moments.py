@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hardy
-from .dirichlet import PointMassMeasure, dmu_gram, moment_matrix
+from .dirichlet import PointMassMeasure, _locations_weights, dmu_gram
 from .operators import (
     Certificate,
     FactoredForm,
@@ -86,7 +86,9 @@ def recover_atoms(M, k=None, rank_tol=TOLERANCES["rank"]):
         M = np.asarray(M, dtype=complex)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise RecoveryError("moment matrix must be square")
-    Qf, S = _core(M)
+    if factored:  # one thin QR: the core here, the Ritz basis Q W below
+        Qf, R = np.linalg.qr(M.factor)
+    S = (R * M.weights) @ R.conj().T if factored else _core(M)
     N = M.shape[0]
     lam, W = np.linalg.eigh(S)
     rank = _count_above(np.abs(lam), rank_tol)
@@ -203,17 +205,20 @@ def roundtrip_check(mu, n, tol=1e-8):
 
 def certify_measure(mu, G, n_max, tols=TOLERANCES):
     """The certificates of mu on its D(mu) Gram G = dmu_gram(mu, N): `nsd` of
-    the forms of orders 1..n_max, then `moment-identity`, max|D - M| of the
-    defect D against the moment matrix M of mu (context["N"] is N), then
-    `defect-rank`, the numerical rank of D against the atom count. tols
-    holds the "nsd", "moment" and "rank" tolerances (`TOLERANCES`)."""
+    the forms of orders 1..n_max; `moment-identity`, max|D - M| over the one
+    FactoredForm D - M, factor [U1^T, V] and weights (1, ..., 1, -w), for the
+    defect D = U1^T conj(U1) and the moment matrix M = V diag(w) V^H of mu
+    (context["N"] is N); `defect-rank`, the numerical rank of D against the
+    atom count. tols holds the "nsd", "moment" and "rank" `TOLERANCES`."""
     N = G.generators.shape[1]
     certs = [
         certify_nsd(hyperexpansive_form(G, n), tol=tols["nsd"], order=n)
         for n in range(1, n_max + 1)
     ]
     D = defect_matrix(G)
-    dev = float(np.abs(np.asarray(D) - moment_matrix(mu, N - 1)).max())
+    z, w = _locations_weights(mu)
+    D_M = FactoredForm(np.hstack([D.factor, hardy.powers(z, N - 1).T]), np.r_[D.weights, -w])
+    dev = float(np.abs(np.asarray(D_M)).max())
     certs.append(Certificate("moment-identity", dev <= tols["moment"], dev, tols["moment"], {"N": N}))
     rank = numerical_rank(D, tols["rank"])
     context = {"atoms": len(mu), "route": "factor"}

@@ -32,12 +32,13 @@ class FactoredForm:
     """The Hermitian form F = Y diag(c) Y^H, held as its exact factor.
 
     Y (`factor`, m x p) and c (`weights`, p real numbers) are read-only
-    copies. Every form and the defect of a GramMatrix with k generator rows
-    come as one (`hyperexpansive_form`, `defect_matrix`), p at most k n at
-    order n, so no m x m array is built. `certify_nsd`, `numerical_rank`
-    and `recover_atoms` decide on it from one thin QR Y = Q R and the small
-    core R diag(c) R^H (`_core`), and on a plain array by one dense
-    eigensolve or SVD. np.asarray(F) gives the m x m entries.
+    copies, and a NaN or infinite entry raises ValueError. Every form and
+    the defect of a GramMatrix with k generator rows come as one
+    (`hyperexpansive_form`, `defect_matrix`), p at most k n at order n, so
+    no m x m array is built. `certify_nsd`, `numerical_rank` and
+    `recover_atoms` decide on it from the small core R diag(c) R^H of its
+    thin QR Y = Q R (`_core`), and on a plain array by one dense eigensolve
+    or SVD. np.asarray(F) gives the m x m entries.
     """
 
     factor: np.ndarray
@@ -48,6 +49,8 @@ class FactoredForm:
         c = np.array(self.weights, dtype=float)
         if Y.ndim != 2 or c.shape != (Y.shape[1],):
             raise ValueError("factor must be m x p, with p real weights")
+        if not (np.isfinite(Y).all() and np.isfinite(c).all()):
+            raise ValueError("factor has a NaN or infinite entry")
         Y.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "factor", Y)
@@ -115,13 +118,11 @@ def _generator_form(U, n):
 
 
 def _core(F):
-    """(Q, S) with F = Q S Q^H. For a FactoredForm, the thin QR
-    F.factor = Q R and the core S = R diag(c) R^H; for a plain array,
-    (None, S) with S its Hermitian part (F + F^H) / 2, built in place.
-
-    S is p' x p', p' = min(m, p) for the m x p factor. F has the eigenvalues
-    of S and, when m > p', the eigenvalue 0 on the complement of Q's range.
-    A NaN or infinite factor or entry raises ValueError.
+    """The core S of F = Q S Q^H: for a FactoredForm, R diag(c) R^H from the
+    thin QR F.factor = Q R (Q is not formed), p' x p' with p' = min(m, p) for
+    the m x p factor; for a plain array, whose NaN or infinite entry raises
+    ValueError, its Hermitian part (F + F^H) / 2, built in place. F has the
+    eigenvalues of S and, when m > p', the 0 of the complement of Q's range.
     """
     if not isinstance(F, FactoredForm):
         A = np.asarray(F, dtype=complex)
@@ -130,12 +131,9 @@ def _core(F):
         S = np.conj(A.T)
         S += A
         S *= 0.5
-        return None, S
-    Y = F.factor
-    if not np.isfinite(Y).all():
-        raise ValueError("factor has a NaN or infinite entry")
-    Q, R = np.linalg.qr(Y)
-    return Q, (R * F.weights) @ R.conj().T
+        return S
+    R = np.linalg.qr(F.factor, mode="r")
+    return (R * F.weights) @ R.conj().T
 
 
 def certify_nsd(B, tol=TOLERANCES["nsd"], order=None):
@@ -153,11 +151,10 @@ def certify_nsd(B, tol=TOLERANCES["nsd"], order=None):
     ValueError: no route can decide it. context["route"] names the route,
     context["size"] the form's size; order only labels context["order"].
     """
-    Q, S = _core(B)
-    if Q is None:
-        context = {"size": len(S), "route": "dense"}
-    else:
-        context = {"size": len(Q), "core": len(S), "route": "factor"}
+    S = _core(B)
+    context = {"size": len(S), "route": "dense"}
+    if isinstance(B, FactoredForm):
+        context = {"size": B.shape[0], "core": len(S), "route": "factor"}
     m = context["size"]
     top = float(np.linalg.eigvalsh(S).max(initial=-np.inf if len(S) == m > 0 else 0.0))
     context.update(order=order, witness="eigenvalue")
@@ -198,7 +195,7 @@ def numerical_rank(M, tau=TOLERANCES["rank"]):
     A plain array takes one SVD. A NaN or infinite entry raises ValueError.
     """
     if isinstance(M, FactoredForm):
-        s = np.abs(np.linalg.eigvalsh(_core(M)[1]))
+        s = np.abs(np.linalg.eigvalsh(_core(M)))
     else:
         s = np.linalg.svd(np.asarray(M, dtype=complex), compute_uv=False)
     return _count_above(s, tau)

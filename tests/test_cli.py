@@ -342,6 +342,23 @@ class TestSynthesize:
         for p in (p1, p2):
             main(["synthesize", "--alpha", "0.8", "--lambda", "0.3+0.4i", "--out", str(p)])
         assert p1.read_bytes() == p2.read_bytes()
+        # the numpy commands too, each from two fresh processes
+        heavy = PointMassMeasure(atoms=((0.6 + 0.8j, 50.0), (0.3 + 0.1j, 0.5)))
+        mu = PointMassMeasure(atoms=((0.5, 1.0), (-0.3 + 0.4j, 0.5), (1j, 0.2)))
+        env = dict(os.environ, PYTHONPATH=str(Path(dbrlab.__file__).parents[1]))
+        for argv in (
+            ["certify", "--measure", write_measure(tmp_path, heavy, "heavy.json"), "--size", "512", "--n-max", "5"],
+            ["kernel-norms", "--alpha", "1", "--lambda", "0.5", "--points", "10"],
+            ["verify-equality", "--alpha", "1", "--lambda", "0.5", "--size", "24"],
+            ["recover", "--measure", write_measure(tmp_path, mu), "--size", "8"],
+        ):
+            first, second = (
+                subprocess.run(
+                    [sys.executable, "-m", "dbrlab.cli", *argv], env=env, capture_output=True, check=True
+                ).stdout
+                for _ in range(2)
+            )
+            assert first and first == second
 
 
 class TestMate:

@@ -4,14 +4,17 @@ import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dbrlab.dirichlet import PointMassMeasure, dmu_gram, moment_matrix
+from dbrlab import hardy
+from dbrlab.dirichlet import GramMatrix, PointMassMeasure, dmu_gram, moment_matrix
 from dbrlab.operators import defect_matrix
 from dbrlab.moments import (
     RecoveryError,
+    certify_measure,
     match_atoms,
     recover_atoms,
     roundtrip_check,
 )
+from dbrlab.symbols import TOLERANCES
 
 
 def separated_measure(rng, k, min_dist=0.1, boundary=False):
@@ -315,3 +318,52 @@ def test_factor_route_recovers_whatever_the_dense_route_recovers(atoms, N):
     assert len(factor) == len(dense)
     assert match_atoms(dense, factor) <= ROUNDTRIP_TOL
     assert match_atoms(mu, factor) <= ROUNDTRIP_TOL
+
+
+# ---- detection power of `moment-identity`: mutated generator rows ----
+
+# the README's measure: interior atoms and one on the circle
+README_MU = PointMassMeasure(atoms=((0.5, 1.0), (-0.3 + 0.4j, 0.5), (1j, 0.2)))
+
+
+def mutated_rows(mu, N, mutation):
+    """dmu_gram's generator rows sqrt(w) (0, 1, z, ..., z^(N-2)) of mu, or a mutation of them."""
+    z = np.array([loc for loc, _ in mu.atoms])
+    w = np.array([wt for _, wt in mu.atoms])
+    U = np.zeros((len(mu), N), dtype=complex)
+    if mutation == "shift dropped":
+        U[:] = np.sqrt(w)[:, np.newaxis] * hardy.powers(z, N)
+    elif mutation == "conj powers":
+        U[:, 1:] = np.sqrt(w)[:, np.newaxis] * hardy.powers(np.conj(z), N - 1)
+    elif mutation == "w for sqrt(w)":
+        U[:, 1:] = w[:, np.newaxis] * hardy.powers(z, N - 1)
+    else:
+        U[:, 1:] = np.sqrt(w)[:, np.newaxis] * hardy.powers(z, N - 1)
+    return U
+
+
+def test_unmutated_rows_pass_the_moment_identity():
+    G = GramMatrix(mutated_rows(README_MU, 64, None))
+    assert np.array_equal(G.generators, dmu_gram(README_MU, 64).generators)
+    cert = certify_measure(README_MU, G, 5, TOLERANCES)[5]
+    assert cert.kind == "moment-identity" and cert.passed
+
+
+@pytest.mark.parametrize(
+    "mutation, witness",
+    [
+        # D - M = sum w (|z|^2 - 1) z^i conj(z)^j, largest at (0, 0)
+        ("shift dropped", 1.125),
+        # D - M = sum w (conj(z)^i z^j - z^i conj(z)^j), largest at (0, 1)
+        ("conj powers", 0.8),
+        # D - M = sum (w^2 - w) z^i conj(z)^j, largest at (0, 0)
+        ("w for sqrt(w)", 0.41),
+    ],
+)
+def test_mutated_rows_fail_the_moment_identity(mutation, witness):
+    # the true mu against a Gram of mutated generator rows: D and M no longer
+    # share their rows, and the difference is far above roundoff
+    G = GramMatrix(mutated_rows(README_MU, 64, mutation))
+    cert = certify_measure(README_MU, G, 5, TOLERANCES)[5]
+    assert cert.kind == "moment-identity" and not cert.passed
+    assert cert.witness == pytest.approx(witness, rel=1e-9)

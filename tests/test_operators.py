@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dbrlab.debranges import MoebiusSymbol, hb_inner, pythagorean_mate, validate_symbol
 from dbrlab.dirichlet import PointMassMeasure, dmu_gram, moment_matrix
-from dbrlab.moments import recover_atoms, roundtrip_check
+from dbrlab.moments import certify_measure, recover_atoms, roundtrip_check
 from dbrlab.operators import (
     _core,
     _pencil_top,
@@ -22,6 +22,7 @@ from dbrlab.operators import (
     ratio_identity_check,
 )
 from dbrlab import cli, dirichlet
+from dbrlab.symbols import TOLERANCES
 from dbrlab.synthesis import synthesized_pair, verify_norm_equality
 from dbrlab.debranges import hb_gram
 
@@ -786,12 +787,14 @@ def peak_bytes(f, *args):
         tracemalloc.stop()
 
 
+THREE_ATOMS = PointMassMeasure(atoms=((0.5, 1.0), (-0.3 + 0.4j, 0.5), (0.2j - 0.6, 0.8)))
+
+
 def three_atom_gram(N):
-    mu = PointMassMeasure(atoms=((0.5, 1.0), (-0.3 + 0.4j, 0.5), (0.2j - 0.6, 0.8)))
-    return dmu_gram(mu, N)
+    return dmu_gram(THREE_ATOMS, N)
 
 
-class TestSketchNsd:
+class TestFactorNsd:
     def test_low_rank_forms_need_no_cholesky(self, monkeypatch):
         # three atoms: a core of 3 n at order n, one small eigvalsh each
         G = three_atom_gram(256)
@@ -852,7 +855,7 @@ class TestSketchNsd:
         assert peak < 2.5 * N * N * 16
 
 
-class TestPanelMemory:
+class TestFactorMemory:
     """tracemalloc peaks at N = 512, in N x N complex arrays."""
 
     NN = 512 * 512 * 16
@@ -921,6 +924,14 @@ class TestPanelMemory:
         assert cert.passed and rank == 3 and len(result.measure) == 3
         assert max(nsd, rank_peak, rec) < 0.25 * self.NN
 
+    def test_certify_holds_one_difference_for_the_moment_identity(self):
+        # D - M is one product on the factor [U1^T, V]: its N x N entries and
+        # their moduli (half as many bytes), with no separate defect or moment
+        # matrix beside them (those two and their difference reach 2)
+        certs, peak = peak_bytes(certify_measure, THREE_ATOMS, three_atom_gram(513), 5, TOLERANCES)
+        assert all(c.passed for c in certs) and certs[5].kind == "moment-identity"
+        assert peak < 1.75 * self.NN
+
 
 # well separated, two of them exactly on the circle (|z| = 1 in floating point)
 SEPARATED = ((1j, 0.7), (0.5, 1.0), (-0.3 + 0.6j, 0.4), (-1.0, 0.9), (0.2 - 0.7j, 0.6))
@@ -941,7 +952,7 @@ def test_factor_takes_one_column_per_atom(k):
         B = hyperexpansive_form(G, n)
         want = sum(1 for z, _ in mu.atoms if n == 1 or abs(z) < 1)
         assert B.factor.shape == (512 - n, k * n)
-        assert np.count_nonzero(np.abs(np.linalg.eigvalsh(_core(B)[1])) > 1e-10) == want
+        assert np.count_nonzero(np.abs(np.linalg.eigvalsh(_core(B))) > 1e-10) == want
         assert certify_nsd(B).passed
 
 
@@ -1037,7 +1048,7 @@ class TestFactorEdges:
         assert cert.passed and cert.context["core"] == min(8 - n, 4 * n)
         assert abs(cert.witness - np.linalg.eigvalsh(A)[-1]) <= 1e-14
         if n == 1:
-            assert cert.witness == 0 and np.linalg.eigvalsh(_core(B)[1])[-1] < -0.01
+            assert cert.witness == 0 and np.linalg.eigvalsh(_core(B))[-1] < -0.01
         assert numerical_rank(B) == numerical_rank(A) == min(8 - n, 4)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
