@@ -19,6 +19,7 @@ _MODULES = {
     "monomial": "hardy",
     "normalize": "hardy",
     "powers": "hardy",
+    "FactoredForm": "dirichlet",
     "GramMatrix": "dirichlet",
     "PointMassMeasure": "dirichlet",
     "dmu_cauchy_norm": "dirichlet",
@@ -30,7 +31,6 @@ _MODULES = {
     "hb_cauchy_norm": "debranges",
     "hb_gram": "debranges",
     "hb_inner": "debranges",
-    "FactoredForm": "operators",
     "certify_nsd": "operators",
     "defect_matrix": "operators",
     "hyperexpansive_form": "operators",

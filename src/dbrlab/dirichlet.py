@@ -96,6 +96,54 @@ class GramMatrix:
         return np.asarray(self.entries, dtype=dtype)
 
 
+@dataclass(frozen=True)
+class FactoredForm:
+    """The Hermitian form F = Y diag(c) Y^H, held as its exact factor.
+
+    Y (`factor`, m x p) and c (`weights`, p real numbers) are read-only
+    copies, and a NaN or infinite entry raises ValueError. Every form and
+    the defect of a GramMatrix with k generator rows come as one
+    (`operators.hyperexpansive_form`, `operators.defect_matrix`), p at most
+    k n at order n, and so does the moment matrix (`moment_matrix`), so no
+    m x m array is built. `certify_nsd`, `numerical_rank` and
+    `recover_atoms` decide on it from the small core R diag(c) R^H of its
+    thin QR Y = Q R (`operators._core`), and on a plain array by one dense
+    eigensolve or SVD. F1 - F2 is exact, the form of factor [Y1 | Y2] and
+    weights (c1, -c2). np.asarray(F) gives the m x m entries.
+    """
+
+    factor: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        Y = np.array(self.factor, dtype=complex)
+        c = np.array(self.weights, dtype=float)
+        if Y.ndim != 2 or c.shape != (Y.shape[1],):
+            raise ValueError("factor must be m x p, with p real weights")
+        if not (np.isfinite(Y).all() and np.isfinite(c).all()):
+            raise ValueError("factor has a NaN or infinite entry")
+        Y.setflags(write=False)
+        c.setflags(write=False)
+        object.__setattr__(self, "factor", Y)
+        object.__setattr__(self, "weights", c)
+
+    @property
+    def shape(self):
+        return (len(self.factor),) * 2
+
+    def __array__(self, dtype=None, copy=None):
+        Y = self.factor
+        return np.asarray((Y * self.weights) @ Y.conj().T, dtype=dtype)
+
+    def __sub__(self, other):
+        # any other operand gets numpy's dense difference, via __array__
+        if not isinstance(other, FactoredForm):
+            return NotImplemented
+        if other.shape != self.shape:
+            raise ValueError(f"forms of sizes {self.shape[0]} and {other.shape[0]} do not subtract")
+        return FactoredForm(np.hstack([self.factor, other.factor]), np.r_[self.weights, -other.weights])
+
+
 def dmu_inner(f, g, mu):
     """D(mu) inner product of two polynomials: the H^2 part plus
     `dirichlet_integral`."""
@@ -157,17 +205,17 @@ def dmu_gram(mu, n):
 def moment_matrix(mu, n):
     """M[i][j] = sum_k w_k z_k^i conj(z_k)^j, size n; Hermitian PSD, rank = #atoms.
 
-    The Vandermonde columns are `hardy.powers` running products, the same
-    rows `dmu_gram` builds from, so the moment identity D = M compares two
-    routes whose power errors match and cancel.
+    Returned as the FactoredForm V diag(w) V^H, V[i][k] = z_k^i the n x k
+    Vandermonde, whose entries np.asarray(M) builds. Its columns are
+    `hardy.powers` running products, the same rows `dmu_gram` builds from,
+    so the moment identity D = M compares two routes whose power errors
+    match and cancel, and defect_matrix(G) - M is one exact FactoredForm.
     """
     n = int(n)
     if n < 1:
         raise ValueError("moment matrix size must be >= 1")
     z, w = _locations_weights(mu)
-    # V[i][k] = z_k^i, the n x k Vandermonde: M = V diag(w) V^H, one product
-    V = hardy.powers(z, n).T
-    return (V * w) @ V.conj().T
+    return FactoredForm(hardy.powers(z, n).T, w)
 
 
 def dmu_cauchy_norm(alpha, lam, w):

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hardy
-from .dirichlet import PointMassMeasure, _locations_weights, dmu_gram
+from .dirichlet import FactoredForm, PointMassMeasure, dmu_gram, moment_matrix
 from .operators import (
     Certificate,
-    FactoredForm,
     _core,
     _count_above,
     certify_nsd,
@@ -205,20 +204,19 @@ def roundtrip_check(mu, n, tol=1e-8):
 
 def certify_measure(mu, G, n_max, tols=TOLERANCES):
     """The certificates of mu on its D(mu) Gram G = dmu_gram(mu, N): `nsd` of
-    the forms of orders 1..n_max; `moment-identity`, max|D - M| over the one
-    FactoredForm D - M, factor [U1^T, V] and weights (1, ..., 1, -w), for the
-    defect D = U1^T conj(U1) and the moment matrix M = V diag(w) V^H of mu
-    (context["N"] is N); `defect-rank`, the numerical rank of D against the
-    atom count. tols holds the "nsd", "moment" and "rank" `TOLERANCES`."""
+    the forms of orders 1..n_max; `moment-identity`, max|D - M| over the
+    FactoredForm difference of the defect D = U1^T conj(U1) and the moment
+    matrix M = V diag(w) V^H of mu, factor [U1^T, V] and weights
+    (1, ..., 1, -w) (context["N"] is N); `defect-rank`, the numerical rank of
+    D against the atom count. tols holds the "nsd", "moment" and "rank"
+    `TOLERANCES`."""
     N = G.generators.shape[1]
     certs = [
         certify_nsd(hyperexpansive_form(G, n), tol=tols["nsd"], order=n)
         for n in range(1, n_max + 1)
     ]
     D = defect_matrix(G)
-    z, w = _locations_weights(mu)
-    D_M = FactoredForm(np.hstack([D.factor, hardy.powers(z, N - 1).T]), np.r_[D.weights, -w])
-    dev = float(np.abs(np.asarray(D_M)).max())
+    dev = float(np.abs(D - moment_matrix(mu, N - 1)).max())
     certs.append(Certificate("moment-identity", dev <= tols["moment"], dev, tols["moment"], {"N": N}))
     rank = numerical_rank(D, tols["rank"])
     context = {"atoms": len(mu), "route": "factor"}

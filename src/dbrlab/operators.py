@@ -15,54 +15,15 @@ and the symbol's banded factors of the Gram.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import debranges, hardy
-from .dirichlet import GramMatrix
+from .dirichlet import FactoredForm, GramMatrix
 from .symbols import TOLERANCES, Certificate
 
 # a matrix whose sigma_1 is at most this has numerical rank 0
 ZERO_SIGMA = 1e-300
-
-
-@dataclass(frozen=True)
-class FactoredForm:
-    """The Hermitian form F = Y diag(c) Y^H, held as its exact factor.
-
-    Y (`factor`, m x p) and c (`weights`, p real numbers) are read-only
-    copies, and a NaN or infinite entry raises ValueError. Every form and
-    the defect of a GramMatrix with k generator rows come as one
-    (`hyperexpansive_form`, `defect_matrix`), p at most k n at order n, so
-    no m x m array is built. `certify_nsd`, `numerical_rank` and
-    `recover_atoms` decide on it from the small core R diag(c) R^H of its
-    thin QR Y = Q R (`_core`), and on a plain array by one dense eigensolve
-    or SVD. np.asarray(F) gives the m x m entries.
-    """
-
-    factor: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        Y = np.array(self.factor, dtype=complex)
-        c = np.array(self.weights, dtype=float)
-        if Y.ndim != 2 or c.shape != (Y.shape[1],):
-            raise ValueError("factor must be m x p, with p real weights")
-        if not (np.isfinite(Y).all() and np.isfinite(c).all()):
-            raise ValueError("factor has a NaN or infinite entry")
-        Y.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "factor", Y)
-        object.__setattr__(self, "weights", c)
-
-    @property
-    def shape(self):
-        return (len(self.factor),) * 2
-
-    def __array__(self, dtype=None, copy=None):
-        Y = self.factor
-        return np.asarray((Y * self.weights) @ Y.conj().T, dtype=dtype)
 
 
 def hyperexpansive_form(G, n):

@@ -160,7 +160,7 @@ def test_criterion_8_recovery_roundtrip():
         k = i % 5 + 1
         mu = random_separated_measure(rng, k)
         t0 = time.perf_counter()
-        result = recover_atoms(moment_matrix(mu, 2 * k + 4))
+        result = recover_atoms(np.asarray(moment_matrix(mu, 2 * k + 4)))
         slowest = max(slowest, time.perf_counter() - t0)
         worst = max(worst, match_atoms(mu, result.measure))
     report(

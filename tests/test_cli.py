@@ -593,7 +593,7 @@ def test_overflowing_gram_entry_is_a_usage_error(tmp_path, capsys, weight, argv,
 def test_overflowing_moment_norm_is_a_usage_error(tmp_path, capsys, weight):
     # one atom at 0.9, size 8: every cell is finite, but from 5e307 on the
     # matrix's Frobenius norm (about 4.3 w) and its top eigenvalue overflow
-    M = moment_matrix(PointMassMeasure.single(0.9, weight), 8)
+    M = np.asarray(moment_matrix(PointMassMeasure.single(0.9, weight), 8))
     assert np.isfinite(M).all()
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(M / weight) * weight

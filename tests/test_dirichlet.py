@@ -5,6 +5,7 @@ import pytest
 
 from dbrlab import dirichlet, hardy
 from dbrlab.dirichlet import (
+    FactoredForm,
     GramMatrix,
     PointMassMeasure,
     dmu_cauchy_norm,
@@ -206,7 +207,7 @@ class TestMomentMatrix:
         assert np.allclose(M, [[2, -1j], [1j, 0.5]])
 
     def test_empty(self):
-        assert np.all(moment_matrix(PointMassMeasure.empty(), 2) == 0)
+        assert np.all(np.asarray(moment_matrix(PointMassMeasure.empty(), 2)) == 0)
 
     def test_rank_equals_atom_count(self):
         rng = np.random.default_rng(15)
@@ -228,6 +229,46 @@ class TestMomentMatrix:
             got, want = moment_matrix(mu, n), moment_matrix_outer(mu, n)
             assert got.shape == want.shape == (n, n)
             assert np.abs(got - want).max() <= (len(mu) + 4) * eps * total
+
+
+    @pytest.mark.parametrize("atoms", [(), ((0.5, 1.0), (-0.3 + 0.4j, 0.5), (1j, 0.2))])
+    def test_is_the_vandermonde_form(self, atoms):
+        # V diag(w) V^H, V the `hardy.powers` rows; its entries are one outer
+        # product per atom, within (k + 4) eps sum(w), and 0 for no atom
+        mu = PointMassMeasure(atoms=atoms)
+        M = moment_matrix(mu, 9)
+        z = np.array([a for a, _ in atoms], dtype=complex)
+        assert type(M) is FactoredForm and M.shape == (9, 9)
+        assert np.array_equal(M.factor, hardy.powers(z, 9).T)
+        assert np.array_equal(M.weights, [w for _, w in atoms])
+        total = sum(w for _, w in atoms)
+        dev = np.abs(np.asarray(M) - moment_matrix_outer(mu, 9)).max()
+        assert dev <= (len(mu) + 4) * np.finfo(float).eps * total
+
+
+class TestFactoredForm:
+    MU = PointMassMeasure(atoms=((0.5, 1.0), (1j, 0.2)))
+
+    def test_difference_concatenates_the_factors(self):
+        rng = np.random.default_rng(17)
+        F1 = FactoredForm(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)), [1.0, -2.0, 0.5])
+        F2 = moment_matrix(self.MU, 6)
+        D = F1 - F2
+        assert type(D) is FactoredForm
+        Y, c = np.hstack([F1.factor, F2.factor]), np.r_[F1.weights, -F2.weights]
+        assert D.factor.shape == Y.shape and D.factor.tobytes() == Y.tobytes()
+        assert D.weights.shape == c.shape and D.weights.tobytes() == c.tobytes()
+        assert np.abs(np.asarray(D) - (np.asarray(F1) - np.asarray(F2))).max() <= 1e-14
+
+    def test_unequal_sizes_raise(self):
+        with pytest.raises(ValueError, match="sizes 6 and 5"):
+            moment_matrix(self.MU, 6) - moment_matrix(self.MU, 5)
+
+    def test_plain_array_operand_gets_the_dense_difference(self):
+        F = moment_matrix(self.MU, 6)
+        A = np.arange(36.0).reshape(6, 6) * (1 + 0.5j)
+        for got, want in ((F - A, np.asarray(F) - A), (A - F, A - np.asarray(F))):
+            assert type(got) is np.ndarray and np.array_equal(got, want)
 
 
 class TestDmuCauchyNorm:

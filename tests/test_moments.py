@@ -29,7 +29,7 @@ def separated_measure(rng, k, min_dist=0.1, boundary=False):
 
 class TestRecoverAtoms:
     def test_single_atom(self):
-        M = moment_matrix(PointMassMeasure.single(0.5, 1.0), 6)
+        M = np.asarray(moment_matrix(PointMassMeasure.single(0.5, 1.0), 6))
         result = recover_atoms(M)
         ((z, w),) = result.measure.atoms
         assert z == pytest.approx(0.5, abs=1e-12)
@@ -38,7 +38,7 @@ class TestRecoverAtoms:
 
     def test_two_atoms(self):
         mu = PointMassMeasure(atoms=((0.5, 1.0), (0.3 + 0.4j, 2.0)))
-        result = recover_atoms(moment_matrix(mu, 8))
+        result = recover_atoms(np.asarray(moment_matrix(mu, 8)))
         assert match_atoms(mu, result.measure) <= 1e-8
 
     def test_zero_matrix(self):
@@ -46,12 +46,12 @@ class TestRecoverAtoms:
         assert len(result.measure) == 0 and result.residual == 0
 
     def test_requested_rank_too_large(self):
-        M = moment_matrix(PointMassMeasure.single(0.5, 1.0), 6)
+        M = np.asarray(moment_matrix(PointMassMeasure.single(0.5, 1.0), 6))
         with pytest.raises(RecoveryError):
             recover_atoms(M, k=3)
 
     def test_negative_count_rejected(self):
-        M = moment_matrix(PointMassMeasure.single(0.5, 1.0), 4)
+        M = np.asarray(moment_matrix(PointMassMeasure.single(0.5, 1.0), 4))
         with pytest.raises(RecoveryError, match=">= 0"):
             recover_atoms(M, -1)
 
@@ -61,7 +61,7 @@ class TestRecoverAtoms:
 
     def test_boundary_atom(self):
         mu = PointMassMeasure(atoms=((np.exp(1j * np.pi / 4), 0.7), (0.2, 1.3)))
-        result = recover_atoms(moment_matrix(mu, 8))
+        result = recover_atoms(np.asarray(moment_matrix(mu, 8)))
         assert match_atoms(mu, result.measure) <= 1e-8
         for z, _ in result.measure.atoms:
             assert abs(z) <= 1
@@ -83,7 +83,7 @@ class TestRecoverAtoms:
         # weight 1e306: squares of residual entries near 1e290 would overflow
         # unscaled, on the dense route and on the factor's core
         mu = PointMassMeasure.single(0.5, 1e306)
-        for M in (moment_matrix(mu, 8), defect_matrix(dmu_gram(mu, 9))):
+        for M in (np.asarray(moment_matrix(mu, 8)), defect_matrix(dmu_gram(mu, 9))):
             result = recover_atoms(M)
             assert np.isfinite(result.residual) and result.residual <= 1e-12 * 1e306
             assert match_atoms(mu, result.measure) <= 1e-12 * 1e306
@@ -93,8 +93,8 @@ class TestRecoverAtoms:
         # |eigenvalue|, so the fit finds that weight and rejects it. A basis of
         # the top algebraic eigenvectors returned a positive measure here, with
         # residual 0.999 ||M||.
-        mu_pos = moment_matrix(PointMassMeasure.single(0.5, 0.5), 3)
-        mu_neg = moment_matrix(PointMassMeasure.single(np.exp(2j), 4.0), 3)
+        mu_pos = np.asarray(moment_matrix(PointMassMeasure.single(0.5, 0.5), 3))
+        mu_neg = np.asarray(moment_matrix(PointMassMeasure.single(np.exp(2j), 4.0), 3))
         with pytest.raises(RecoveryError, match="nonpositive"):
             recover_atoms(mu_pos - mu_neg)
 
@@ -112,7 +112,7 @@ class TestRecoverAtoms:
         for k in range(1, 6):
             for _ in range(4):
                 mu = separated_measure(rng, k)
-                result = recover_atoms(moment_matrix(mu, 2 * k + 2))
+                result = recover_atoms(np.asarray(moment_matrix(mu, 2 * k + 2)))
                 assert match_atoms(mu, result.measure) <= 1e-10
 
 
@@ -134,7 +134,7 @@ class TestRoundtrip:
         # the condition recover_atoms computes reaches the certificate
         mu = PointMassMeasure(atoms=((0.5, 1.0), (0.5 + 1e-3j, 2.0)))
         cert = roundtrip_check(mu, 12)
-        want = recover_atoms(moment_matrix(mu, 12)).condition
+        want = recover_atoms(np.asarray(moment_matrix(mu, 12))).condition
         assert cert.context["condition"] == pytest.approx(want, rel=1e-6)
         assert cert.context["condition"] > 1e3
 
@@ -206,7 +206,7 @@ def test_weight_fit_matches_nnls(atoms, negate, noise, extra_rows, seed):
         i = negate % len(atoms)
         atoms[i] = (atoms[i][0], -atoms[i][1])
     n = len(atoms) + 1 + extra_rows
-    M = sum(w * moment_matrix(PointMassMeasure.single(z, 1.0), n) for z, w in atoms)
+    M = sum(w * np.asarray(moment_matrix(PointMassMeasure.single(z, 1.0), n)) for z, w in atoms)
     if noise is not None:
         rng = np.random.default_rng(seed)
         M = M + 10**noise * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
@@ -254,7 +254,7 @@ def test_reduced_weight_fit_matches_full_lstsq(atoms, noise, extra_rows, seed):
     atoms = [(r * np.exp(1j * t), w) for r, t, w in atoms]
     assume(all(abs(a - b) >= 0.2 for i, (a, _) in enumerate(atoms) for b, _ in atoms[:i]))
     n = len(atoms) + 1 + extra_rows
-    M = sum(w * moment_matrix(PointMassMeasure.single(z, 1.0), n) for z, w in atoms)
+    M = sum(w * np.asarray(moment_matrix(PointMassMeasure.single(z, 1.0), n)) for z, w in atoms)
     if noise is not None:
         rng = np.random.default_rng(seed)
         M = M + 10**noise * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
@@ -276,7 +276,7 @@ def test_matches_eigh_route():
         for boundary in (False, True):
             for extra in (1, 6, 40):
                 mu = separated_measure(rng, k, min_dist=0.3, boundary=boundary)
-                M = moment_matrix(mu, k + extra)
+                M = np.asarray(moment_matrix(mu, k + extra))
                 got = recover_atoms(M).measure
                 want = eigh_route(M, k)
                 assert match_atoms(want, got) <= 1e-10
@@ -310,7 +310,7 @@ def test_factor_route_recovers_whatever_the_dense_route_recovers(atoms, N):
     assume(all(abs(a - b) >= 0.05 for i, (a, _) in enumerate(atoms) for b, _ in atoms[:i]))
     mu = PointMassMeasure(atoms=tuple(atoms))
     try:
-        dense = recover_atoms(moment_matrix(mu, N)).measure
+        dense = recover_atoms(np.asarray(moment_matrix(mu, N))).measure
     except RecoveryError:
         dense = None
     assume(dense is not None and match_atoms(mu, dense) <= ROUNDTRIP_TOL)
@@ -318,6 +318,15 @@ def test_factor_route_recovers_whatever_the_dense_route_recovers(atoms, N):
     assert len(factor) == len(dense)
     assert match_atoms(dense, factor) <= ROUNDTRIP_TOL
     assert match_atoms(mu, factor) <= ROUNDTRIP_TOL
+
+
+@pytest.mark.parametrize("n", [33, 64, 128])
+def test_clustered_atoms_recover_from_the_moment_matrix(n):
+    # atoms 0.0625 apart beside 0 and 1: the dense eigh of the entries resolves
+    # them only to 1.6e-8 (n = 33) and 5.8e-8 (n = 128), as on the `recover
+    # --moments` route; the moment matrix's factor keeps them near 1e-12
+    mu = PointMassMeasure(atoms=((1, 1.0), (0, 1.0), (0.0625, 1.0), (0.0625 * np.exp(1j), 0.5)))
+    assert match_atoms(mu, recover_atoms(moment_matrix(mu, n)).measure) <= 1e-10
 
 
 # ---- detection power of `moment-identity`: mutated generator rows ----

@@ -249,7 +249,7 @@ class TestDefectAndRank:
 
     def test_rank_three_atoms(self):
         mu = PointMassMeasure(atoms=((0.5, 1.0), (0.3 + 0.4j, 2.0), (-0.6, 0.5)))
-        assert numerical_rank(moment_matrix(mu, 8), 1e-8) == 3
+        assert numerical_rank(np.asarray(moment_matrix(mu, 8)), 1e-8) == 3
 
     def test_rank_zero_and_one(self):
         assert numerical_rank(np.zeros((4, 4)), 1e-8) == 0
@@ -298,14 +298,14 @@ def spy(monkeypatch, name):
     return shapes
 
 
-class TestSketchRank:
+class TestNumericalRank:
     def test_light_atoms_count_on_one_svd(self, monkeypatch):
         # two light atoms far below the heavy eigenvalues but far above
         # tau * sigma_1: a plain array takes one SVD
         locs = 0.9 * np.exp(2j * np.pi * np.arange(10) / 10)
         mu = PointMassMeasure(atoms=tuple(zip(locs, [1.0] * 8 + [1e-3] * 2)))
         svds = spy(monkeypatch, "svd")
-        assert numerical_rank(moment_matrix(mu, 40)) == 10
+        assert numerical_rank(np.asarray(moment_matrix(mu, 40))) == 10
         assert svds == [(40, 40)]
 
     def test_recovery_decides_the_rank_with_one_eigh(self, monkeypatch):
@@ -313,7 +313,7 @@ class TestSketchRank:
         # and the basis, then one Vandermonde QR; no SVD
         locs = 0.9 * np.exp(2j * np.pi * np.arange(10) / 10)
         mu = PointMassMeasure(atoms=tuple(zip(locs, [1.0] * 8 + [1e-3] * 2)))
-        M = moment_matrix(mu, 40)
+        M = np.asarray(moment_matrix(mu, 40))
         qrs, svds, eighs = spy(monkeypatch, "qr"), spy(monkeypatch, "svd"), spy(monkeypatch, "eigh")
         assert len(recover_atoms(M).measure) == 10
         assert qrs == [(40, 10)]
@@ -401,7 +401,7 @@ def test_numerical_rank_matches_svd(atoms, twin, N, defect, noise, log_tau, seed
     if defect:
         M = defect_matrix(dmu_gram(mu, N + 1))
     else:
-        M = moment_matrix(mu, N)
+        M = np.asarray(moment_matrix(mu, N))
     if noise:
         rng = np.random.default_rng(seed)
         E = rng.standard_normal(M.shape) + 1j * rng.standard_normal(M.shape)
@@ -930,6 +930,15 @@ class TestFactorMemory:
         # matrix beside them (those two and their difference reach 2)
         certs, peak = peak_bytes(certify_measure, THREE_ATOMS, three_atom_gram(513), 5, TOLERANCES)
         assert all(c.passed for c in certs) and certs[5].kind == "moment-identity"
+        assert peak < 1.75 * self.NN
+
+    def test_moment_identity_is_one_product(self):
+        # defect_matrix(G) - moment_matrix(mu, N - 1) is one FactoredForm: its
+        # N x N entries and their moduli, with no separate defect or moment
+        # matrix beside them (those two and their difference reach 3)
+        G = three_atom_gram(513)
+        dev, peak = peak_bytes(lambda: np.abs(defect_matrix(G) - moment_matrix(THREE_ATOMS, 512)).max())
+        assert dev <= 1e-12
         assert peak < 1.75 * self.NN
 
 
